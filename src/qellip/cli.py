@@ -22,7 +22,10 @@ from .experiment import (
     CountRecord,
     DetectorModel,
     ExperimentScale,
+    analyzer_terms,
     coincidence_rate,
+    rate_shape,
+    record_columns,
     simulate_counts,
 )
 from .samples import (
@@ -280,7 +283,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fringe(args) -> int:
     cfg = load_config(args.config)
-    c_eff = cfg.scale.pair_rate * cfg.detector.eta1 * cfg.detector.eta2
+    c_eff = cfg.scale.detected_rate(cfg.detector)
     lines = [FRINGE_HEADER]
     for t1, t2, _ in cfg.plan.settings:
         rate = coincidence_rate(c_eff, cfg.sample, t1, t2, cfg.detector.visibility)
@@ -315,19 +318,9 @@ def _estimate_report(estimate, records, det: DetectorModel, args) -> dict:
     deg = 180.0 / math.pi
     jac = np.diag([1.0, deg, deg])
     cov_deg = jac @ estimate.covariance @ jac
-    residuals = []
-    for rec in records:
-        mu = (
-            coincidence_rate(
-                estimate.C_hat,
-                SampleParams(psi=estimate.psi_hat, delta=estimate.delta_mag_hat),
-                rec.theta1,
-                rec.theta2,
-                det.visibility,
-            )
-            + det.accidental_rate
-        ) * rec.duration
-        residuals.append(rec.counts - mu)
+    t1, t2, dur, k = record_columns(records)
+    shape = rate_shape(analyzer_terms(t1, t2), estimate.beta_hat, estimate.delta_mag_hat, det.visibility)
+    residuals = k - (estimate.C_hat * shape + det.accidental_rate) * dur
     ground_truth = None
     if args.true_psi_deg is not None:
         ground_truth = {"psi_deg": args.true_psi_deg, "delta_deg": args.true_delta_deg}
@@ -339,7 +332,7 @@ def _estimate_report(estimate, records, det: DetectorModel, args) -> dict:
         "C_hat": estimate.C_hat,
         "cov": cov_deg.tolist(),
         "warnings": list(estimate.warnings),
-        "residuals": residuals,
+        "residuals": residuals.tolist(),
         "detector": {
             "eta1": det.eta1,
             "eta2": det.eta2,
@@ -390,7 +383,7 @@ def cmd_estimate(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = load_config(args.config)
     classical_psi = classical_psi_estimate(cfg.sample, cfg.instrument)
-    c_eff = cfg.scale.pair_rate * cfg.detector.eta1 * cfg.detector.eta2
+    c_eff = cfg.scale.detected_rate(cfg.detector)
     g = cfg.instrument.gain_drift
     rates = [
         g * coincidence_rate(c_eff, cfg.sample, math.radians(t1), math.radians(45.0),

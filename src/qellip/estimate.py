@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .experiment import DetectorModel
+from .experiment import DetectorModel, analyzer_terms, rate_shape, record_columns
 
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
 
@@ -36,7 +36,6 @@ class EllipsometricEstimate:
     covariance: np.ndarray
     method: str
     warnings: tuple = ()
-    visibility_hat: float | None = None
 
     def __post_init__(self):
         cov = np.array(self.covariance, dtype=float)
@@ -55,7 +54,6 @@ class EllipsometricEstimate:
 class FitOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-10
-    fit_visibility: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -155,96 +153,71 @@ def subtract_accidentals(records, det: DetectorModel) -> list:
     return out
 
 
-def _shape_terms(theta1, theta2):
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    return c1 * c1 * s2 * s2, s1 * s1 * c2 * c2, c1 * s1 * c2 * s2
-
-
-def fit_negative_log_likelihood(u, records, det: DetectorModel, fit_visibility=False):
+def fit_negative_log_likelihood(u, records, det: DetectorModel):
     """Poisson negative log-likelihood and its gradient.
 
-    u = (log C, log beta, delta) or (log C, log beta, delta, V) if the
-    fringe visibility is a free parameter.  The constant sum(log k!) term
-    is dropped.
+    u = (log C, log beta, delta).  The fringe visibility is taken from
+    `det`.  The constant sum(log k!) term is dropped.
     """
-    t1 = np.array([r.theta1 for r in records])
-    t2 = np.array([r.theta2 for r in records])
-    dur = np.array([r.duration for r in records])
-    k = np.array([r.counts for r in records], dtype=float)
-    return _nll_and_grad(np.asarray(u, dtype=float), t1, t2, dur, k, det, fit_visibility)
+    t1, t2, dur, k = record_columns(records)
+    return _nll_and_grad(np.asarray(u, dtype=float), analyzer_terms(t1, t2), dur, k, det)
 
 
-def _nll_and_grad(u, t1, t2, dur, k, det: DetectorModel, fit_visibility):
+def _nll_and_grad(u, terms, dur, k, det: DetectorModel):
     log_c, log_b, delta = u[0], u[1], u[2]
-    if fit_visibility:
-        # logit parameterization keeps the visibility inside (0, 1)
-        vis = 1.0 / (1.0 + np.exp(-u[3]))
-    else:
-        vis = det.visibility
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.exp(log_c)
         b = np.exp(log_b)
-        a, bb, cross = _shape_terms(t1, t2)
-        cos_d, sin_d = np.cos(delta), np.sin(delta)
-        shape = b * b * a + bb + 2.0 * vis * b * cos_d * cross
+        shape, ds_db, ds_dd = rate_shape(terms, b, delta, det.visibility, jacobian=True)
         mu = (c * shape + det.accidental_rate) * dur
         mu_safe = np.maximum(mu, 1e-300)
 
         nll = float(np.sum(mu - k * np.log(mu_safe)))
         w = 1.0 - k / mu_safe  # d nll / d mu
-        dmu_dlogc = c * shape * dur
-        ds_db = 2.0 * b * a + 2.0 * vis * cos_d * cross
-        dmu_dlogb = c * b * ds_db * dur
-        dmu_ddelta = c * (-2.0 * vis * b * sin_d * cross) * dur
-        grad = [
-            float(np.sum(w * dmu_dlogc)),
-            float(np.sum(w * dmu_dlogb)),
-            float(np.sum(w * dmu_ddelta)),
-        ]
-        if fit_visibility:
-            dmu_dv = c * (2.0 * b * cos_d * cross) * dur * vis * (1.0 - vis)
-            grad.append(float(np.sum(w * dmu_dv)))
+        grad = np.array(
+            [
+                np.sum(w * (c * shape * dur)),
+                np.sum(w * (c * b * ds_db * dur)),
+                np.sum(w * (c * ds_dd * dur)),
+            ]
+        )
     if not np.isfinite(nll):
         nll = 1e300
-    return nll, np.nan_to_num(np.array(grad), nan=0.0, posinf=1e300, neginf=-1e300)
+    return nll, np.nan_to_num(grad, nan=0.0, posinf=1e300, neginf=-1e300)
 
 
-def _grid_init(t1, t2, dur, k, det: DetectorModel) -> np.ndarray:
-    """Coarse (beta, delta) grid seed; C from the zero-accidental closed form."""
-    a, bb, cross = _shape_terms(t1, t2)
+def _grid_init(terms, dur, k, det: DetectorModel) -> np.ndarray:
+    """Coarse (beta, delta) grid seed; C from the zero-accidental closed form.
+
+    One beta at a time against all deltas, so the largest temporary is
+    (deltas x records), never (grid x records).
+    """
     total = float(np.sum(k))
-    best = None
+    deltas = np.linspace(0.0, np.pi, 13)
+    best = (np.inf,)
     for b in np.logspace(-1.0, 1.0, 15):
-        for d in np.linspace(0.0, np.pi, 13):
-            shape = b * b * a + bb + 2.0 * det.visibility * b * np.cos(d) * cross
-            denom = float(np.sum(shape * dur))
-            if denom <= 0 or total <= 0:
-                continue
-            c = total / denom
-            mu = np.maximum((c * shape + det.accidental_rate) * dur, 1e-300)
-            nll = float(np.sum(mu - k * np.log(mu)))
-            if best is None or nll < best[0]:
-                best = (nll, np.log(c), np.log(b), d)
-    if best is None:
+        shape = rate_shape(terms, b, deltas[:, None], det.visibility)
+        denom = np.sum(shape * dur, axis=1)
+        ok = (denom > 0) & (total > 0)
+        c = np.divide(total, denom, out=np.zeros_like(denom), where=ok)
+        mu = np.maximum((c[:, None] * shape + det.accidental_rate) * dur, 1e-300)
+        nll = np.where(ok, np.sum(mu - k * np.log(mu), axis=1), np.inf)
+        j = int(np.argmin(nll))
+        if nll[j] < best[0]:
+            best = (nll[j], np.log(c[j]), np.log(b), deltas[j])
+    if not np.isfinite(best[0]):
         raise FitError("cannot seed fit: no counts or degenerate plan")
     return np.array(best[1:])
 
 
-def _fisher_covariance(records, det, c_hat, psi_hat, delta_hat, vis, fit_visibility):
+def _fisher_covariance(terms, dur, k, det, c_hat, psi_hat, delta_hat):
     """Inverse observed Fisher information over (C, psi, delta) by central
     second differences of the negative log-likelihood."""
-    t1 = np.array([r.theta1 for r in records])
-    t2 = np.array([r.theta2 for r in records])
-    dur = np.array([r.duration for r in records])
-    k = np.array([r.counts for r in records], dtype=float)
 
     def nll_cpd(c, psi, delta):
         psi = np.clip(psi, 1e-12, np.pi / 2 - 1e-12)
         u = [np.log(max(c, 1e-300)), 0.5 * np.log(np.tan(psi)), delta]
-        if fit_visibility:
-            u.append(vis)
-        return _nll_and_grad(np.array(u), t1, t2, dur, k, det, fit_visibility)[0]
+        return _nll_and_grad(np.array(u), terms, dur, k, det)[0]
 
     x0 = np.array([c_hat, psi_hat, delta_hat])
     h = np.array([1e-4 * max(abs(c_hat), 1e-6), 1e-5, 1e-5])
@@ -275,7 +248,10 @@ def least_squares_fit(
     init: EllipsometricEstimate | None = None,
     opts: FitOptions | None = None,
 ) -> EllipsometricEstimate:
-    """Poisson maximum-likelihood fit of (C, beta, delta[, V]) to count records.
+    """Poisson maximum-likelihood fit of (C, beta, delta) to count records.
+
+    The fringe visibility is taken from `det`: V enters the rate only as
+    V cos(delta), so it cannot be fitted alongside delta.
 
     The covariance is the inverse observed Fisher information over
     (C, psi, delta).  Raises FitError (carrying the best iterate) on
@@ -283,31 +259,24 @@ def least_squares_fit(
     """
     opts = opts or FitOptions()
     records = list(records)
-    settings = {(r.theta1, r.theta2) for r in records}
-    needed = 4 if opts.fit_visibility else 3
-    if len(records) < needed:
-        raise ValueError(f"need at least {needed} records")
-    if len(settings) < needed:
+    if len(records) < 3:
+        raise ValueError("need at least 3 records")
+    if len({(r.theta1, r.theta2) for r in records}) < 3:
         raise ValueError("unidentifiable: too few distinct analyzer settings")
 
-    t1 = np.array([r.theta1 for r in records])
-    t2 = np.array([r.theta2 for r in records])
-    dur = np.array([r.duration for r in records])
-    k = np.array([r.counts for r in records], dtype=float)
+    t1, t2, dur, k = record_columns(records)
+    terms = analyzer_terms(t1, t2)
 
     if init is not None:
         beta0 = max(init.beta_hat, 1e-6)
         u0 = np.array([np.log(max(init.C_hat, 1e-12)), np.log(beta0), init.delta_mag_hat])
     else:
-        u0 = _grid_init(t1, t2, dur, k, det)
-    if opts.fit_visibility:
-        v0 = float(np.clip(det.visibility, 0.01, 0.99))
-        u0 = np.append(u0, np.log(v0 / (1.0 - v0)))
+        u0 = _grid_init(terms, dur, k, det)
 
     res = minimize(
         _nll_and_grad,
         u0,
-        args=(t1, t2, dur, k, det, opts.fit_visibility),
+        args=(terms, dur, k, det),
         jac=True,
         method="BFGS",
         options={"maxiter": opts.max_iterations, "gtol": opts.gradient_tolerance},
@@ -317,21 +286,14 @@ def least_squares_fit(
     beta = float(np.exp(res.x[1]))
     delta = float(np.arccos(np.clip(np.cos(res.x[2]), -1.0, 1.0)))
     psi = float(np.arctan(beta * beta))
-    if opts.fit_visibility:
-        vis = float(1.0 / (1.0 + np.exp(-res.x[3])))
-    else:
-        vis = det.visibility
-    warnings = ()
 
-    cov = _fisher_covariance(records, det, c_hat, psi, delta, vis, opts.fit_visibility)
+    cov = _fisher_covariance(terms, dur, k, det, c_hat, psi, delta)
     estimate = EllipsometricEstimate(
         C_hat=c_hat,
         psi_hat=psi,
         delta_mag_hat=delta,
         covariance=cov,
         method="least_squares",
-        warnings=warnings,
-        visibility_hat=vis if opts.fit_visibility else None,
     )
     grad_ok = np.max(np.abs(res.jac)) <= 1e-5 * max(1.0, abs(res.fun))
     if not (res.success or grad_ok):

@@ -4,8 +4,12 @@ Closed-form twin-photon coincidence rate through two linear analyzers and
 a reflective sample in the idler arm, detector/accidental effects, and
 shot-noise (Poisson) count generation with a counter-based RNG so every
 record is reproducible independently of the others.
+
+The rate formula lives in `analyzer_terms` and `rate_shape` only; the
+simulator, the estimators and the CLI report all evaluate it there.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,10 @@ class ExperimentScale:
         if not (np.isfinite(self.pair_rate) and self.pair_rate > 0):
             raise ValueError("pair_rate must be positive")
 
+    def detected_rate(self, det: DetectorModel) -> float:
+        """Effective rate constant C = pair_rate * eta1 * eta2."""
+        return self.pair_rate * det.eta1 * det.eta2
+
 
 @dataclass(frozen=True)
 class AcquisitionPlan:
@@ -82,11 +90,49 @@ class CountRecord:
     counts: int
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.theta1) and math.isfinite(self.theta2)):
+            raise ValueError("analyzer angles must be finite")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError("duration must be finite and positive")
         if self.counts < 0 or self.counts != int(self.counts):
             raise ValueError("counts must be a non-negative integer")
         object.__setattr__(self, "counts", int(self.counts))
+
+
+def record_columns(records):
+    """(theta1, theta2, duration, counts) of count records as float arrays."""
+    return (
+        np.array([r.theta1 for r in records]),
+        np.array([r.theta2 for r in records]),
+        np.array([r.duration for r in records]),
+        np.array([r.counts for r in records], dtype=float),
+    )
+
+
+def analyzer_terms(theta1, theta2):
+    """Analyzer factors of the rate, elementwise over arrays:
+    cos^2(t1) sin^2(t2), sin^2(t1) cos^2(t2) and cos(t1) sin(t1) cos(t2) sin(t2)."""
+    c1, s1 = np.cos(theta1), np.sin(theta1)
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    return c1 * c1 * s2 * s2, s1 * s1 * c2 * c2, c1 * s1 * c2 * s2
+
+
+def rate_shape(terms, beta, delta, visibility, jacobian=False):
+    """Rate per unit scale, b^2 a + bb + 2 V b cos(delta) cross, for the
+    `analyzer_terms` (a, bb, cross), broadcast against beta and delta.
+
+    For V <= 1 this is a squared modulus (cross^2 = a bb), so it is floored
+    at 0 where rounding leaves an analyzer null slightly negative.  With
+    jacobian=True, returns (shape, d shape/d beta, d shape/d delta).
+    """
+    a, bb, cross = terms
+    cos_d = np.cos(delta)
+    shape = np.maximum(beta * beta * a + bb + 2.0 * visibility * beta * cos_d * cross, 0.0)
+    if not jacobian:
+        return shape
+    ds_db = 2.0 * beta * a + 2.0 * visibility * cos_d * cross
+    ds_dd = -2.0 * visibility * beta * np.sin(delta) * cross
+    return shape, ds_db, ds_dd
 
 
 def coincidence_rate(
@@ -108,14 +154,7 @@ def coincidence_rate(
         raise ValueError("scale must be positive")
     if not (0.0 <= visibility <= 1.0):
         raise ValueError("visibility must lie in [0, 1]")
-    b = params.beta
-    c1, s1 = np.cos(theta1), np.sin(theta1)
-    c2, s2 = np.cos(theta2), np.sin(theta2)
-    return scale * (
-        b * b * c1 * c1 * s2 * s2
-        + s1 * s1 * c2 * c2
-        + 2.0 * visibility * b * np.cos(params.delta) * c1 * s1 * c2 * s2
-    )
+    return scale * rate_shape(analyzer_terms(theta1, theta2), params.beta, params.delta, visibility)
 
 
 def expected_counts(
@@ -127,14 +166,12 @@ def expected_counts(
     """Mean coincidence counts per plan entry.
 
     The effective rate constant is pair_rate * eta1 * eta2; accidentals add
-    a constant background rate.
+    a constant background rate.  Means are >= 0, and exactly 0 at an
+    analyzer null without accidentals.
     """
-    c_eff = scale.pair_rate * det.eta1 * det.eta2
-    means = np.empty(len(plan))
-    for i, (t1, t2, dur) in enumerate(plan.settings):
-        rate = coincidence_rate(c_eff, params, t1, t2, det.visibility)
-        means[i] = (rate + det.accidental_rate) * dur
-    return means
+    t1, t2, dur = np.array(plan.settings).T
+    shape = rate_shape(analyzer_terms(t1, t2), params.beta, params.delta, det.visibility)
+    return (scale.detected_rate(det) * shape + det.accidental_rate) * dur
 
 
 def simulate_counts(

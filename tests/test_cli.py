@@ -59,6 +59,19 @@ class TestSimulate:
         run(["simulate", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_analyzer_null_gives_zero_counts(self, tmp_path):
+        # mirror rate ~ sin^2(t1 + t2) is exactly 0 at 165 + 15 deg; the
+        # draw there must not see a negative mean from rounding
+        config = dict(
+            MIRROR_CONFIG,
+            plan={"theta2_deg": 15, "theta1_list_deg": [0, 45, 90, 165], "dwell_s": 1.0},
+        )
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "counts.csv"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        last = out.read_text().splitlines()[-1]
+        assert last == "165.000000,15.000000,1.000000,0"
+
     def test_zero_dwell_exits_2_naming_field(self, tmp_path, capsys):
         bad = dict(MIRROR_CONFIG, plan=dict(MIRROR_CONFIG["plan"], dwell_s=0))
         cfg = write_config(tmp_path, bad)
@@ -99,6 +112,16 @@ class TestFringe:
         for t, r in rows:
             expected = 5000.0 * (1.0 + math.sin(2 * math.radians(t)))
             assert r == pytest.approx(expected, abs=1e-4)
+
+    def test_analyzer_null_prints_zero(self, tmp_path):
+        # mirror null at 160 + 20 deg, where the unfloored rate rounds below 0
+        config = dict(
+            MIRROR_CONFIG, plan={"theta2_deg": 20, "theta1_list_deg": [160], "dwell_s": 1.0}
+        )
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "fringe.csv"
+        assert run(["fringe", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "160.000000,0.000000"
 
     def test_zero_visibility_flattens_fringe(self, tmp_path):
         config = dict(
@@ -193,6 +216,21 @@ class TestEstimate:
             "theta1_deg,theta2_deg,dwell_s,counts\n0.0,45.0,1.0,notanumber\n"
         )
         assert run(["estimate", str(path), "--method", "fit"]) == 3
+
+
+    @pytest.mark.parametrize("method", ["fit", "three-angle"])
+    @pytest.mark.parametrize("field", ["theta1", "theta2", "duration"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_exits_3(self, tmp_path, capsys, method, field, bad):
+        rows = [[t, 45.0, 1.0, 100 + int(t)] for t in (0.0, 30.0, 45.0, 90.0)]
+        rows[2][("theta1", "theta2", "duration").index(field)] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "theta1_deg,theta2_deg,dwell_s,counts\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+        )
+        assert run(["estimate", str(path), "--method", method]) == 3
+        assert "line 4" in capsys.readouterr().err
 
 
 class TestBaseline:

@@ -204,24 +204,6 @@ class TestLeastSquaresFit:
         assert abs(est.psi_hat - truth.psi) < 0.02
         assert abs(est.delta_mag_hat - truth.delta) < 0.05
 
-    def test_fit_visibility_as_free_parameter(self):
-        det_true = DetectorModel(visibility=0.9)
-        truth = SampleParams.from_beta_delta(1.0, 0.9)
-        plan = AcquisitionPlan(
-            tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 10))
-        )
-        recs = simulate_counts(plan, ExperimentScale(1e6), det_true, truth, seed=2)
-        est = least_squares_fit(
-            recs, DetectorModel(), opts=FitOptions(fit_visibility=True)
-        )
-        # V and delta enter the rate only through V*cos(delta), so only the
-        # product is identifiable; beta and C stay clean
-        got = est.visibility_hat * math.cos(est.delta_mag_hat)
-        want = 0.9 * math.cos(truth.delta)
-        assert got == pytest.approx(want, abs=2e-3)
-        assert est.beta_hat == pytest.approx(truth.beta, abs=2e-3)
-        assert est.C_hat == pytest.approx(1e6, rel=2e-3)
-
     def test_unidentifiable_plan(self):
         recs = [CountRecord(0.3, THETA2, 1.0, 100) for _ in range(5)]
         with pytest.raises(ValueError, match="unidentifiable|at least"):

@@ -112,6 +112,51 @@ class TestExpectedCounts:
         assert means[0] == pytest.approx(2510.0, rel=1e-12)
 
 
+    def test_matches_scalar_rate_per_setting(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            params = SampleParams.from_beta_delta(
+                10 ** rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)
+            )
+            det = DetectorModel(
+                eta1=rng.uniform(0.1, 1.0),
+                eta2=rng.uniform(0.1, 1.0),
+                accidental_rate=rng.uniform(0.0, 50.0),
+                visibility=rng.uniform(0.0, 1.0),
+            )
+            scale = ExperimentScale(10 ** rng.uniform(2, 6))
+            settings = tuple(
+                (t1, t2, dur)
+                for t1, t2, dur in zip(
+                    rng.uniform(0, 2 * math.pi, 50),
+                    rng.uniform(0, 2 * math.pi, 50),
+                    rng.uniform(0.1, 10.0, 50),
+                )
+            )
+            c_eff = scale.pair_rate * det.eta1 * det.eta2
+            want = np.array(
+                [
+                    (coincidence_rate(c_eff, params, t1, t2, det.visibility)
+                     + det.accidental_rate) * dur
+                    for t1, t2, dur in settings
+                ]
+            )
+            got = expected_counts(AcquisitionPlan(settings), scale, det, params)
+            # rounding in the fringe terms is relative to the largest term, C * dwell
+            atol = 1e-12 * c_eff * max(dur for _, _, dur in settings)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+
+    def test_floored_at_exact_null(self):
+        # mirror rate ~ sin^2(t1 + t2) vanishes at t1 = 180 deg - t2; at
+        # several of these nulls the unfloored sum rounds to about -1e-17
+        t2s = [math.radians(d) for d in range(1, 90)]
+        settings = tuple((math.pi - t2, t2, 1.0) for t2 in t2s)
+        means = expected_counts(AcquisitionPlan(settings), ExperimentScale(1e4), DetectorModel(), MIRROR)
+        assert np.all(means >= 0.0)
+        assert all(coincidence_rate(1e4, MIRROR, t1, t2) >= 0.0 for t1, t2, _ in settings)
+        np.testing.assert_allclose(means, 0.0, atol=1e-9)
+
+
 class TestSimulateCounts:
     def test_deterministic(self):
         plan = AcquisitionPlan(
