@@ -371,7 +371,7 @@ def cmd_estimate(args) -> int:
         except FitError as exc:
             if exc.estimate is not None:
                 report = _estimate_report(exc.estimate, records, det, args)
-                report["warnings"].append(f"fit did not converge: {exc}")
+                report["warnings"].append(str(exc))
                 _write_json(report, args.out)
             else:
                 print(f"error: {exc}", file=sys.stderr)

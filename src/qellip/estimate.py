@@ -63,7 +63,7 @@ class FitOptions:
 
 
 class FitError(RuntimeError):
-    """Raised on non-convergence; carries the best iterate found."""
+    """Raised when the fit gives no usable estimate; carries the best iterate."""
 
     def __init__(self, message: str, estimate: EllipsometricEstimate | None = None):
         super().__init__(message)
@@ -255,7 +255,9 @@ def least_squares_fit(
 
     The covariance is the inverse observed Fisher information over
     (C, psi, delta).  Raises FitError (carrying the best iterate) on
-    non-convergence and ValueError on unidentifiable plans.
+    non-convergence or when psi runs to 0 or 90 deg, where one polarization
+    adds under one expected count and the covariance means nothing; raises
+    ValueError on unidentifiable plans.
     """
     opts = opts or FitOptions()
     records = list(records)
@@ -298,4 +300,8 @@ def least_squares_fit(
     grad_ok = np.max(np.abs(res.jac)) <= 1e-5 * max(1.0, abs(res.fun))
     if not (res.success or grad_ok):
         raise FitError(f"fit did not converge: {res.message}", estimate=estimate)
+    a, bb, _ = terms
+    if not (min(beta * beta * np.dot(a, dur), np.dot(bb, dur)) * c_hat >= 1.0):
+        msg = f"psi ran to {np.degrees(psi):.6g} deg: one polarization adds under one expected count"
+        raise FitError(msg, estimate=estimate)
     return estimate

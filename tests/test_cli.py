@@ -218,6 +218,18 @@ class TestEstimate:
         assert run(["estimate", str(path), "--method", "fit"]) == 3
 
 
+    def test_psi_boundary_exits_4(self, tmp_path):
+        path = tmp_path / "null.csv"
+        path.write_text(
+            "theta1_deg,theta2_deg,dwell_s,counts\n"
+            + "".join(f"{t},45.0,1.0,{k}\n" for t, k in ((0, 1000), (45, 500), (90, 0), (135, 500)))
+        )
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(path), "--method", "fit", "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert report["psi_deg"] == pytest.approx(90.0)
+        assert report["warnings"] == ["psi ran to 90 deg: one polarization adds under one expected count"]
+
     @pytest.mark.parametrize("method", ["fit", "three-angle"])
     @pytest.mark.parametrize("field", ["theta1", "theta2", "duration"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -219,6 +219,15 @@ class TestLeastSquaresFit:
             least_squares_fit(recs, DET, opts=FitOptions(max_iterations=1))
         assert excinfo.value.estimate is not None
 
+    @pytest.mark.parametrize("counts, psi_deg", [((1000, 500, 0, 500), 90.0), ((0, 500, 1000, 500), 0.0)])
+    def test_psi_boundary_raises_with_best_iterate(self, counts, psi_deg):
+        # the null at 90 (or 0) deg is fitted by letting one polarization
+        # vanish, so psi runs to the edge of its domain
+        recs = [CountRecord(math.radians(t), THETA2, 1.0, k) for t, k in zip((0, 45, 90, 135), counts)]
+        with pytest.raises(FitError, match="psi ran to") as excinfo:
+            least_squares_fit(recs, DET)
+        assert math.degrees(excinfo.value.estimate.psi_hat) == pytest.approx(psi_deg, abs=1e-6)
+
     def test_gradient_matches_finite_differences(self):
         truth = SampleParams.from_beta_delta(1.1, 0.8)
         plan = AcquisitionPlan(

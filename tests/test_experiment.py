@@ -112,7 +112,16 @@ class TestExpectedCounts:
         assert means[0] == pytest.approx(2510.0, rel=1e-12)
 
 
-    def test_matches_scalar_rate_per_setting(self):
+    def test_matches_closed_form_per_setting(self):
+        # reference: the rate written out per setting, not through the kernel
+        def closed_form(c_eff, b, delta, vis, t1, t2):
+            c1, s1, c2, s2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+            return c_eff * (
+                b * b * c1 * c1 * s2 * s2
+                + s1 * s1 * c2 * c2
+                + 2.0 * vis * b * math.cos(delta) * c1 * s1 * c2 * s2
+            )
+
         rng = np.random.default_rng(5)
         for _ in range(20):
             params = SampleParams.from_beta_delta(
@@ -134,17 +143,15 @@ class TestExpectedCounts:
                 )
             )
             c_eff = scale.pair_rate * det.eta1 * det.eta2
-            want = np.array(
-                [
-                    (coincidence_rate(c_eff, params, t1, t2, det.visibility)
-                     + det.accidental_rate) * dur
-                    for t1, t2, dur in settings
-                ]
-            )
+            b, vis = params.beta, det.visibility
+            rates = [closed_form(c_eff, b, params.delta, vis, t1, t2) for t1, t2, _ in settings]
+            want = np.array([(r + det.accidental_rate) * dur for r, (_, _, dur) in zip(rates, settings)])
             got = expected_counts(AcquisitionPlan(settings), scale, det, params)
             # rounding in the fringe terms is relative to the largest term, C * dwell
             atol = 1e-12 * c_eff * max(dur for _, _, dur in settings)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+            scalar = [coincidence_rate(c_eff, params, t1, t2, vis) for t1, t2, _ in settings]
+            np.testing.assert_allclose(scalar, rates, rtol=1e-12, atol=1e-12 * c_eff)
 
     def test_floored_at_exact_null(self):
         # mirror rate ~ sin^2(t1 + t2) vanishes at t1 = 180 deg - t2; at
