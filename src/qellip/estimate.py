@@ -168,7 +168,7 @@ def _nll_and_grad(u, terms, dur, k, det: DetectorModel):
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.exp(log_c)
         b = np.exp(log_b)
-        shape, ds_db, ds_dd = rate_shape(terms, b, delta, det.visibility, jacobian=True)
+        shape, ds_db, ds_dd = rate_shape(terms, b, delta, det.visibility, order=1)
         mu = (c * shape + det.accidental_rate) * dur
         mu_safe = np.maximum(mu, 1e-300)
 
@@ -193,7 +193,8 @@ def _grid_init(terms, dur, k, det: DetectorModel) -> np.ndarray:
     (deltas x records), never (grid x records).
     """
     total = float(np.sum(k))
-    deltas = np.linspace(0.0, np.pi, 13)
+    # Not delta = 0 or pi: d nll/d delta goes as sin delta, so BFGS never leaves them.
+    deltas = np.linspace(0.0, np.pi, 13)[1:-1]
     best = (np.inf,)
     for b in np.logspace(-1.0, 1.0, 15):
         shape = rate_shape(terms, b, deltas[:, None], det.visibility)
@@ -210,36 +211,25 @@ def _grid_init(terms, dur, k, det: DetectorModel) -> np.ndarray:
     return np.array(best[1:])
 
 
-def _fisher_covariance(terms, dur, k, det, c_hat, psi_hat, delta_hat):
-    """Inverse observed Fisher information over (C, psi, delta) by central
-    second differences of the negative log-likelihood."""
+def _nll_hessian(u, terms, dur, k, det: DetectorModel) -> np.ndarray:
+    """Exact Hessian of the negative log-likelihood in u = (log C, log beta, delta):
+    sum of (1 - k/mu) d2mu/du2 + (k/mu^2) dmu/du dmu/du^T over the records."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, b = np.exp(u[0]), np.exp(u[1])
+        s, s_b, s_d, s_bb, s_bd, s_dd = rate_shape(terms, b, u[2], det.visibility, order=2)
+        mu = np.maximum((c * s + det.accidental_rate) * dur, 1e-300)
+        g = np.array([s, b * s_b, s_d])  # dmu/du = C t g, d2mu/du2 = C t gg
+        gg = np.array([g, [g[1], g[1] + b * b * s_bb, b * s_bd], [s_d, b * s_bd, s_dd]])
+        cd, r = c * dur, k / mu
+        return gg @ ((1.0 - r) * cd) + (g * (r / mu * cd * cd)) @ g.T
 
-    def nll_cpd(c, psi, delta):
-        psi = np.clip(psi, 1e-12, np.pi / 2 - 1e-12)
-        u = [np.log(max(c, 1e-300)), 0.5 * np.log(np.tan(psi)), delta]
-        return _nll_and_grad(np.array(u), terms, dur, k, det)[0]
 
-    x0 = np.array([c_hat, psi_hat, delta_hat])
-    h = np.array([1e-4 * max(abs(c_hat), 1e-6), 1e-5, 1e-5])
-    hess = np.empty((3, 3))
-    f0 = nll_cpd(*x0)
-    for i in range(3):
-        for j in range(i, 3):
-            ei = np.zeros(3)
-            ej = np.zeros(3)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            if i == j:
-                val = (nll_cpd(*(x0 + ei)) - 2.0 * f0 + nll_cpd(*(x0 - ei))) / h[i] ** 2
-            else:
-                val = (
-                    nll_cpd(*(x0 + ei + ej))
-                    - nll_cpd(*(x0 + ei - ej))
-                    - nll_cpd(*(x0 - ei + ej))
-                    + nll_cpd(*(x0 - ei - ej))
-                ) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    return _psd_covariance(np.linalg.pinv(0.5 * (hess + hess.T)))
+def _fisher_covariance(u, terms, dur, k, det: DetectorModel) -> np.ndarray:
+    """Inverse observed Fisher information over (C, psi, delta) at the optimum u:
+    the Hessian in u mapped by J = d(C, psi, delta)/du = diag(C, sin 2psi, 1).
+    The gradient term of the change of coordinates is dropped; it is 0 there."""
+    jac = np.array([np.exp(u[0]), 1.0 / np.cosh(2.0 * u[1]), 1.0])
+    return _psd_covariance(np.outer(jac, jac) * np.linalg.pinv(_nll_hessian(u, terms, dur, k, det)))
 
 
 def least_squares_fit(
@@ -257,7 +247,7 @@ def least_squares_fit(
     (C, psi, delta).  Raises FitError (carrying the best iterate) on
     non-convergence or when psi runs to 0 or 90 deg, where one polarization
     adds under one expected count and the covariance means nothing; raises
-    ValueError on unidentifiable plans.
+    ValueError on unidentifiable plans and at visibility 0.
     """
     opts = opts or FitOptions()
     records = list(records)
@@ -265,6 +255,8 @@ def least_squares_fit(
         raise ValueError("need at least 3 records")
     if len({(r.theta1, r.theta2) for r in records}) < 3:
         raise ValueError("unidentifiable: too few distinct analyzer settings")
+    if det.visibility == 0.0:
+        raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
 
     t1, t2, dur, k = record_columns(records)
     terms = analyzer_terms(t1, t2)
@@ -289,7 +281,7 @@ def least_squares_fit(
     delta = float(np.arccos(np.clip(np.cos(res.x[2]), -1.0, 1.0)))
     psi = float(np.arctan(beta * beta))
 
-    cov = _fisher_covariance(terms, dur, k, det, c_hat, psi, delta)
+    cov = _fisher_covariance(np.array([res.x[0], res.x[1], delta]), terms, dur, k, det)
     estimate = EllipsometricEstimate(
         C_hat=c_hat,
         psi_hat=psi,

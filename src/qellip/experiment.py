@@ -1,7 +1,7 @@
 """Forward model of the coincidence experiment.
 
 Closed-form twin-photon coincidence rate through two linear analyzers and
-a reflective sample in the idler arm, detector/accidental effects, and
+a reflective sample in the signal arm, detector/accidental effects, and
 shot-noise (Poisson) count generation with a counter-based RNG so every
 record is reproducible independently of the others.
 
@@ -117,22 +117,27 @@ def analyzer_terms(theta1, theta2):
     return c1 * c1 * s2 * s2, s1 * s1 * c2 * c2, c1 * s1 * c2 * s2
 
 
-def rate_shape(terms, beta, delta, visibility, jacobian=False):
+def rate_shape(terms, beta, delta, visibility, order=0):
     """Rate per unit scale, b^2 a + bb + 2 V b cos(delta) cross, for the
     `analyzer_terms` (a, bb, cross), broadcast against beta and delta.
 
     For V <= 1 this is a squared modulus (cross^2 = a bb), so it is floored
     at 0 where rounding leaves an analyzer null slightly negative.  With
-    jacobian=True, returns (shape, d shape/d beta, d shape/d delta).
+    order=1, returns (shape, d/d beta, d/d delta); with order=2, also
+    (d2/d beta2, d2/d beta d delta, d2/d delta2).
     """
     a, bb, cross = terms
     cos_d = np.cos(delta)
     shape = np.maximum(beta * beta * a + bb + 2.0 * visibility * beta * cos_d * cross, 0.0)
-    if not jacobian:
+    if order == 0:
         return shape
+    sin_d = np.sin(delta)
     ds_db = 2.0 * beta * a + 2.0 * visibility * cos_d * cross
-    ds_dd = -2.0 * visibility * beta * np.sin(delta) * cross
-    return shape, ds_db, ds_dd
+    ds_dd = -2.0 * visibility * beta * sin_d * cross
+    if order == 1:
+        return shape, ds_db, ds_dd
+    d2s_dbd = -2.0 * visibility * sin_d * cross
+    return shape, ds_db, ds_dd, 2.0 * a, d2s_dbd, -2.0 * visibility * beta * cos_d * cross
 
 
 def coincidence_rate(

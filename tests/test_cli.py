@@ -230,6 +230,16 @@ class TestEstimate:
         assert report["psi_deg"] == pytest.approx(90.0)
         assert report["warnings"] == ["psi ran to 90 deg: one polarization adds under one expected count"]
 
+    def test_zero_visibility_fit_exits_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MIRROR_CONFIG)
+        counts = tmp_path / "counts.csv"
+        run(["simulate", "--config", cfg, "--out", str(counts)])
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(counts), "--method", "fit", "--visibility", "0",
+                    "--out", str(out)]) == 4
+        assert "unidentifiable" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["fit", "three-angle"])
     @pytest.mark.parametrize("field", ["theta1", "theta2", "duration"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])

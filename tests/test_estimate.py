@@ -19,7 +19,8 @@ from qellip import (
     subtract_accidentals,
     three_angle_invert,
 )
-from qellip.estimate import fit_negative_log_likelihood
+from qellip.estimate import _nll_hessian, fit_negative_log_likelihood
+from qellip.experiment import analyzer_terms, record_columns
 
 DET = DetectorModel()
 THETA2 = math.pi / 4
@@ -251,6 +252,60 @@ class TestLeastSquaresFit:
                 ) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    def test_hessian_matches_finite_differences_of_gradient(self):
+        truth = SampleParams.from_beta_delta(1.1, 0.8)
+        plan = AcquisitionPlan(
+            tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
+        )
+        det = DetectorModel(accidental_rate=5.0, visibility=0.97)
+        recs = simulate_counts(plan, ExperimentScale(1e4), det, truth, seed=4)
+        t1, t2, dur, k = record_columns(recs)
+        terms = analyzer_terms(t1, t2)
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            u = np.array(
+                [rng.uniform(5, 8), rng.uniform(-1, 1), rng.uniform(0.2, 2.9)]
+            )
+            hess = _nll_hessian(u, terms, dur, k, det)
+            for i in range(3):
+                h = 1e-6 * max(1.0, abs(u[i]))
+                up, um = u.copy(), u.copy()
+                up[i] += h
+                um[i] -= h
+                fd = (
+                    fit_negative_log_likelihood(up, recs, det)[1]
+                    - fit_negative_log_likelihood(um, recs, det)[1]
+                ) / (2 * h)
+                np.testing.assert_allclose(hess[:, i], fd, rtol=1e-5, atol=1e-7)
+
+    def test_seed_is_not_stuck_on_the_delta_edge(self):
+        # the grid node nearest the truth is delta = pi, where d nll/d delta
+        # vanishes; a fit seeded there stayed at 180 deg with sigma 0
+        truth = SampleParams(psi=math.radians(2.0), delta=math.radians(172.0))
+        plan = AcquisitionPlan(
+            tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
+        )
+        recs = simulate_counts(plan, ExperimentScale(6000), DET, truth, seed=13)
+        est = least_squares_fit(recs, DET)
+        assert math.degrees(est.delta_mag_hat) == pytest.approx(169.06, abs=0.01)
+        assert est.covariance[2, 2] > 0
+        at_edge = [math.log(est.C_hat), math.log(est.beta_hat), math.pi]
+        u_hat = [math.log(est.C_hat), math.log(est.beta_hat), est.delta_mag_hat]
+        assert (
+            fit_negative_log_likelihood(u_hat, recs, DET)[0]
+            < fit_negative_log_likelihood(at_edge, recs, DET)[0] - 0.4
+        )
+
+    def test_zero_visibility_is_unidentifiable(self):
+        det = DetectorModel(visibility=0.0)
+        truth = SampleParams(psi=math.radians(37.0), delta=math.radians(80.0))
+        plan = AcquisitionPlan(
+            tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
+        )
+        recs = simulate_counts(plan, ExperimentScale(6000), det, truth, seed=1)
+        with pytest.raises(ValueError, match="unidentifiable"):
+            least_squares_fit(recs, det)
+
     def test_rmse_scales_with_counts(self):
         truth = SampleParams.from_beta_delta(1.2, math.radians(75))
         normalized = []
@@ -268,3 +323,36 @@ class TestLeastSquaresFit:
             normalized.append(rmse * math.sqrt(total))
         ratio = max(normalized) / min(normalized)
         assert ratio < 1.5
+
+
+class TestCalibration:
+    """Monte-Carlo check that the reported covariance matches the spread of
+    the estimates: over fixed seeds, the z-scores (estimate - truth)/sigma
+    of psi and |delta| must have a standard deviation near 1."""
+
+    @pytest.mark.parametrize(
+        "psi_deg, delta_deg, dwell, accidental, vis",
+        [
+            (89.8, 130.0, 1.0, 5.0, 0.97),  # psi near 90 deg
+            (37.0, 80.0, 10.0, 50.0, 0.97),  # long dwell, strong background
+            (10.0, 150.0, 1.0, 0.0, 1.0),  # small psi, delta near pi
+        ],
+    )
+    def test_z_scores_have_unit_spread(self, psi_deg, delta_deg, dwell, accidental, vis):
+        truth = SampleParams(psi=math.radians(psi_deg), delta=math.radians(delta_deg))
+        det = DetectorModel(accidental_rate=accidental, visibility=vis)
+        plan = AcquisitionPlan(
+            tuple((math.radians(t), THETA2, dwell) for t in range(0, 180, 15))
+        )
+        z = []
+        for seed in range(200):
+            recs = simulate_counts(plan, ExperimentScale(6000), det, truth, seed=seed)
+            est = least_squares_fit(recs, det)
+            sigma = np.sqrt(np.diag(est.covariance))
+            z.append(
+                [
+                    (est.psi_hat - truth.psi) / sigma[1],
+                    (est.delta_mag_hat - truth.delta) / sigma[2],
+                ]
+            )
+        assert np.std(z, axis=0) == pytest.approx([1.0, 1.0], abs=0.2)
