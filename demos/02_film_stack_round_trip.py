@@ -21,7 +21,7 @@ from qellip import (
     least_squares_fit,
     psi_delta_from_coeffs,
     simulate_counts,
-    three_angle_invert,
+    three_angle_from_counts,
 )
 
 
@@ -50,12 +50,7 @@ def main():
     print(f"\nsimulated {len(records)} settings, {total} coincidences total")
 
     # closed-form inversion from the three canonical angles
-    by_angle = {round(math.degrees(r.theta1)): r for r in records}
-    rates = [
-        max(by_angle[t].counts / by_angle[t].duration - det.accidental_rate, 0.0)
-        for t in (0, 45, 90)
-    ]
-    closed = three_angle_invert(*rates)
+    closed = three_angle_from_counts(records, det)
     print("\nthree-angle closed form:")
     print(
         f"  psi = {math.degrees(closed.psi_hat):9.5f} deg"

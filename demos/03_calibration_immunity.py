@@ -23,6 +23,7 @@ from qellip import (
     classical_psi_estimate,
     coincidence_rate,
     simulate_counts,
+    three_angle_from_counts,
     three_angle_invert,
 )
 
@@ -59,7 +60,7 @@ def main():
             # distinct seed block per efficiency: identical seeds would give
             # bit-identical draws here, since the effective mean is unchanged
             recs = simulate_counts(plan, scale, det, MIRROR, seed=1000 * block + seed)
-            est = three_angle_invert(*[r.counts / r.duration for r in recs])
+            est = three_angle_from_counts(recs, det)
             estimates.append(math.degrees(est.psi_hat))
         estimates = np.array(estimates)
         print(f"{eta2:6.1f}  {estimates.mean():15.4f}  {estimates.std(ddof=1):10.4f}")

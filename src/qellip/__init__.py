@@ -43,14 +43,13 @@ from .estimate import (
     FitOptions,
     FitError,
     three_angle_invert,
+    three_angle_from_counts,
     least_squares_fit,
-    choose_theta2,
     subtract_accidentals,
 )
 from .classical import (
     ClassicalInstrument,
     classical_psi_estimate,
-    null_residual,
 )
 
 __all__ = [
@@ -82,10 +81,9 @@ __all__ = [
     "FitOptions",
     "FitError",
     "three_angle_invert",
+    "three_angle_from_counts",
     "least_squares_fit",
-    "choose_theta2",
     "subtract_accidentals",
     "ClassicalInstrument",
     "classical_psi_estimate",
-    "null_residual",
 ]

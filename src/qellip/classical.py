@@ -47,21 +47,3 @@ def classical_psi_estimate(params: SampleParams, inst: ClassicalInstrument) -> f
     i_v = inst.gain_drift * ((1.0 - eps) * r_v + eps * r_h)
     return float(np.arctan(i_h / i_v))
 
-
-def null_residual(
-    params: SampleParams, compensator_delta: float, analyzer_angle: float
-) -> float:
-    """Detected intensity in an idealized null configuration.
-
-    45-degree linear input reflects off the sample, passes an ideal
-    compensator that retards H by -compensator_delta, then a linear
-    analyzer.  The residual vanishes iff the compensator cancels the
-    sample's delta and the analyzer is crossed with the resulting linear
-    polarization.
-    """
-    b = params.beta
-    # Jones vector after sample and compensator, input (1, 1)/sqrt(2).
-    e_h = b * np.exp(1j * (params.delta - compensator_delta)) / np.sqrt(2.0)
-    e_v = 1.0 / np.sqrt(2.0)
-    amp = np.cos(analyzer_angle) * e_h + np.sin(analyzer_angle) * e_v
-    return float(abs(amp) ** 2)

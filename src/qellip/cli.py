@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .classical import ClassicalInstrument, classical_psi_estimate
-from .estimate import FitError, least_squares_fit, three_angle_invert
+from .estimate import FitError, least_squares_fit, three_angle_from_counts, three_angle_invert
 from .experiment import (
     AcquisitionPlan,
     CountRecord,
@@ -43,7 +43,6 @@ EXIT_NUMERIC = 4
 
 COUNTS_HEADER = "theta1_deg,theta2_deg,dwell_s,counts"
 FRINGE_HEADER = "theta1_deg,expected_rate"
-ANGLE_TOL_DEG = 1e-6
 
 
 class ConfigError(Exception):
@@ -292,28 +291,6 @@ def cmd_fringe(args) -> int:
     return EXIT_OK
 
 
-def _three_angle_rates(records, det: DetectorModel):
-    """Aggregate rows at theta1 = 0/45/90 deg, theta2 = 45 deg."""
-    groups = {0.0: [0, 0.0], 45.0: [0, 0.0], 90.0: [0, 0.0]}
-    for rec in records:
-        if abs(math.degrees(rec.theta2) - 45.0) > ANGLE_TOL_DEG:
-            continue
-        t1_deg = math.degrees(rec.theta1)
-        for target in groups:
-            if abs(t1_deg - target) <= ANGLE_TOL_DEG:
-                groups[target][0] += rec.counts
-                groups[target][1] += rec.duration
-    rates = {}
-    for target, (counts, dur) in groups.items():
-        if dur == 0.0:
-            raise DataError(
-                "three-angle method needs rows at theta1 = 0/45/90 deg with theta2 = 45 deg; "
-                f"missing theta1 = {target:g} deg"
-            )
-        rates[target] = max(counts / dur - det.accidental_rate, 0.0)
-    return rates[0.0], rates[45.0], rates[90.0]
-
-
 def _estimate_report(estimate, records, det: DetectorModel, args) -> dict:
     deg = 180.0 / math.pi
     jac = np.diag([1.0, deg, deg])
@@ -363,8 +340,10 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"detector flags: {exc}") from exc
 
     if args.method == "three-angle":
-        rate_0, rate_45, rate_90 = _three_angle_rates(records, det)
-        estimate = three_angle_invert(rate_0, rate_45, rate_90)
+        try:
+            estimate = three_angle_from_counts(records, det)
+        except LookupError as exc:
+            raise DataError(str(exc)) from exc
     else:
         try:
             estimate = least_squares_fit(records, det)

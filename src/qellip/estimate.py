@@ -2,14 +2,21 @@
 
 Two estimators are provided:
 
-  * three_angle_invert — the closed-form protocol: with the idler analyzer
-    fixed at 45 deg, rates at signal angles 0/45/90 deg determine all three
-    parameters.  Scaling every rate by a common factor k leaves psi and
-    delta untouched and scales C by k, which is what makes the scheme
-    self-calibrating.
+  * the three-angle closed form — with the idler analyzer fixed at 45 deg,
+    rates at signal angles 0/45/90 deg determine all three parameters.
+    Scaling every rate by a common factor k leaves psi and delta untouched
+    and scales C by k, which is what makes the scheme self-calibrating.
+    three_angle_from_counts takes count records (any dwell, accidentals and
+    visibility from the detector model); three_angle_invert takes three
+    rates, as counts in a 1 s dwell at visibility 1.
   * least_squares_fit — Poisson maximum likelihood over an arbitrary plan,
     parameterized internally in (log C, log beta, delta) so positivity
     needs no constraint handling.
+
+Both report the inverse observed Fisher information over (C, psi, delta),
+from the exact Hessian of the Poisson negative log-likelihood: inside its
+domain the closed form reproduces the three counts exactly, so it is the
+maximum-likelihood point of those counts.
 
 Only |delta| is identifiable: the rate depends on delta through cos(delta)
 alone, so estimates report delta_mag_hat in [0, pi].
@@ -23,6 +30,8 @@ from scipy.optimize import minimize
 from .experiment import DetectorModel, analyzer_terms, rate_shape, record_columns
 
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
+ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angle setting
+_THREE_ANGLE_TERMS = analyzer_terms(np.radians([0.0, 45.0, 90.0]), np.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -78,54 +87,41 @@ def _psd_covariance(cov: np.ndarray) -> np.ndarray:
     return 0.5 * ((v * w) @ v.T + ((v * w) @ v.T).T)
 
 
-def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> EllipsometricEstimate:
-    """Closed-form inversion from accidental-subtracted rates at
-    theta1 = 0, 45, 90 deg with theta2 = 45 deg.
+def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
+    """Closed form from counts k over dwells dur at theta1 = 0, 45, 90 deg
+    with theta2 = 45 deg.  With accidental-subtracted rates r = max(k/t - A, 0):
 
-      C = 2 * rate_90
-      tan(psi) = beta^2 = rate_0 / rate_90
-      cos(delta) = (2*rate_45 - rate_0 - rate_90) / (2*sqrt(rate_0*rate_90))
+      C = 2 * r_90
+      tan(psi) = beta^2 = r_0 / r_90
+      V cos(delta) = (2*r_45 - r_0 - r_90) / (2*sqrt(r_0*r_90))
 
-    psi and delta are computed from the rate ratios only, so a common
-    scale factor on all three inputs cannot move them.
+    Where |cos delta| < 1 the model then reproduces the three counts exactly,
+    so this is the Poisson maximum-likelihood point and its covariance is
+    the inverse observed information, as for least_squares_fit.
     """
-    if not (rate_0 > 0 and rate_90 > 0) or rate_45 < 0:
+    rate_0, rate_45, rate_90 = np.maximum(k / dur - det.accidental_rate, 0.0)
+    if not (rate_0 > 0 and rate_90 > 0):
         raise ValueError("eigenpolarization null: three-angle inversion undefined")
+    if det.visibility == 0.0:
+        raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
     x = rate_0 / rate_90
     y = rate_45 / rate_90
-    c_hat = 2.0 * rate_90
-    beta2 = x
-    cos_d = (2.0 * y - x - 1.0) / (2.0 * np.sqrt(x))
+    cos_d = (2.0 * y - x - 1.0) / (2.0 * np.sqrt(x)) / det.visibility
     warnings = ()
     if abs(cos_d) > 1.0 + _COS_OVERSHOOT:
         warnings = ("inconsistent rates",)
-    cos_d = float(np.clip(cos_d, -1.0, 1.0))
-    delta = float(np.arccos(cos_d))
-    psi = float(np.arctan(beta2))
-
-    # Delta-method covariance assuming unit-time Poisson rates (var = rate).
-    n0, n45, n90 = rate_0, rate_45, rate_90
-    root = np.sqrt(n0 * n90)
-    u = cos_d
-    du = np.array(
-        [
-            -1.0 / (2.0 * root) - u / (2.0 * n0),
-            1.0 / root,
-            -1.0 / (2.0 * root) - u / (2.0 * n90),
-        ]
-    )
-    sin_d = max(np.sqrt(max(1.0 - u * u, 0.0)), 1e-6)
-    jac = np.array(
-        [
-            [0.0, 0.0, 2.0],
-            [1.0 / ((1.0 + beta2**2) * n90), 0.0, -n0 / ((1.0 + beta2**2) * n90**2)],
-            -du / sin_d,
-        ]
-    )
-    cov = _psd_covariance(jac @ np.diag([n0, n45, n90]) @ jac.T)
+    delta = float(np.arccos(np.clip(cos_d, -1.0, 1.0)))
+    u = np.array([np.log(2.0 * rate_90), 0.5 * np.log(x), delta])
+    hess = _nll_hessian(u, _THREE_ANGLE_TERMS, dur, k, det)
+    cov = _fisher_covariance(u, hess)
+    if not cov[2, 2] * hess[2, 2] >= 0.5:
+        # Were the delta direction kept, var * information would be >= 1.
+        # pinv drops it where delta carries no information (|cos delta| = 1,
+        # or within rounding of it): report the widest spread on [0, pi].
+        cov[2, 2] = np.pi**2 / 4
     return EllipsometricEstimate(
-        C_hat=c_hat,
-        psi_hat=psi,
+        C_hat=float(2.0 * rate_90),
+        psi_hat=float(np.arctan(x)),
         delta_mag_hat=delta,
         covariance=cov,
         method="three_angle",
@@ -133,15 +129,40 @@ def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> Ellipso
     )
 
 
-def choose_theta2(beta_guess: float) -> float:
-    """Idler analyzer angle that balances the two non-interference rate terms.
+def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> EllipsometricEstimate:
+    """Closed-form inversion from accidental-subtracted rates at
+    theta1 = 0, 45, 90 deg with theta2 = 45 deg, taken as counts in a 1 s
+    dwell at visibility 1.
 
-    atan(1/beta) makes beta^2 cos^2 sin^2 and sin^2 cos^2 equal at
-    theta1 = 45 deg; useful when beta is far from 1.
+    psi and delta are computed from the rate ratios only, so a common
+    scale factor on all three inputs cannot move them.
     """
-    if not (np.isfinite(beta_guess) and beta_guess > 0):
-        raise ValueError("beta_guess must be positive")
-    return float(np.arctan2(1.0, beta_guess))
+    if rate_45 < 0:
+        raise ValueError("eigenpolarization null: three-angle inversion undefined")
+    return _three_angle(np.array([rate_0, rate_45, rate_90], dtype=float), 1.0, DetectorModel())
+
+
+def three_angle_from_counts(records, det: DetectorModel) -> EllipsometricEstimate:
+    """Three-angle closed form from count records.
+
+    Counts and dwell are summed over the rows at theta1 = 0, 45, 90 deg with
+    theta2 = 45 deg (to within ANGLE_TOL_DEG); other rows are ignored.
+    Accidentals are subtracted and the interference term divided by the
+    visibility, both taken from `det`.  Raises LookupError when a setting
+    has no rows, ValueError at an eigenpolarization null or visibility 0.
+    """
+    t1, t2, dur, k = record_columns(records)
+    at_45 = np.abs(np.degrees(t2) - 45.0) <= ANGLE_TOL_DEG
+    k3, dur3 = np.zeros(3), np.zeros(3)
+    for i, target in enumerate((0.0, 45.0, 90.0)):
+        rows = at_45 & (np.abs(np.degrees(t1) - target) <= ANGLE_TOL_DEG)
+        if not rows.any():
+            raise LookupError(
+                "three-angle method needs rows at theta1 = 0/45/90 deg with theta2 = 45 deg; "
+                f"missing theta1 = {target:g} deg"
+            )
+        k3[i], dur3[i] = k[rows].sum(), dur[rows].sum()
+    return _three_angle(k3, dur3, det)
 
 
 def subtract_accidentals(records, det: DetectorModel) -> list:
@@ -224,12 +245,13 @@ def _nll_hessian(u, terms, dur, k, det: DetectorModel) -> np.ndarray:
         return gg @ ((1.0 - r) * cd) + (g * (r / mu * cd * cd)) @ g.T
 
 
-def _fisher_covariance(u, terms, dur, k, det: DetectorModel) -> np.ndarray:
-    """Inverse observed Fisher information over (C, psi, delta) at the optimum u:
-    the Hessian in u mapped by J = d(C, psi, delta)/du = diag(C, sin 2psi, 1).
-    The gradient term of the change of coordinates is dropped; it is 0 there."""
+def _fisher_covariance(u, hess) -> np.ndarray:
+    """Inverse observed Fisher information over (C, psi, delta) at the optimum u,
+    from the `_nll_hessian` there mapped by J = d(C, psi, delta)/du =
+    diag(C, sin 2psi, 1).  The gradient term of the change of coordinates is
+    dropped; it is 0 there."""
     jac = np.array([np.exp(u[0]), 1.0 / np.cosh(2.0 * u[1]), 1.0])
-    return _psd_covariance(np.outer(jac, jac) * np.linalg.pinv(_nll_hessian(u, terms, dur, k, det)))
+    return _psd_covariance(np.outer(jac, jac) * np.linalg.pinv(hess))
 
 
 def least_squares_fit(
@@ -250,16 +272,14 @@ def least_squares_fit(
     ValueError on unidentifiable plans and at visibility 0.
     """
     opts = opts or FitOptions()
-    records = list(records)
-    if len(records) < 3:
-        raise ValueError("need at least 3 records")
-    if len({(r.theta1, r.theta2) for r in records}) < 3:
-        raise ValueError("unidentifiable: too few distinct analyzer settings")
-    if det.visibility == 0.0:
-        raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
-
     t1, t2, dur, k = record_columns(records)
     terms = analyzer_terms(t1, t2)
+    # The rate is linear in (C beta^2, C, C V beta cos delta) over the three
+    # terms, so the plan identifies them exactly when the terms have rank 3.
+    if np.linalg.matrix_rank(np.column_stack(terms)) < 3:
+        raise ValueError("unidentifiable: the plan's analyzer settings cannot separate the rate terms")
+    if det.visibility == 0.0:
+        raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
 
     if init is not None:
         beta0 = max(init.beta_hat, 1e-6)
@@ -281,7 +301,8 @@ def least_squares_fit(
     delta = float(np.arccos(np.clip(np.cos(res.x[2]), -1.0, 1.0)))
     psi = float(np.arctan(beta * beta))
 
-    cov = _fisher_covariance(np.array([res.x[0], res.x[1], delta]), terms, dur, k, det)
+    u = np.array([res.x[0], res.x[1], delta])
+    cov = _fisher_covariance(u, _nll_hessian(u, terms, dur, k, det))
     estimate = EllipsometricEstimate(
         C_hat=c_hat,
         psi_hat=psi,

@@ -101,6 +101,7 @@ class CountRecord:
 
 def record_columns(records):
     """(theta1, theta2, duration, counts) of count records as float arrays."""
+    records = list(records)
     return (
         np.array([r.theta1 for r in records]),
         np.array([r.theta2 for r in records]),

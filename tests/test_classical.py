@@ -1,13 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
 from qellip import (
     ClassicalInstrument,
     SampleParams,
     classical_psi_estimate,
-    null_residual,
     three_angle_invert,
     coincidence_rate,
 )
@@ -58,34 +56,3 @@ class TestClassicalPsiEstimate:
         with pytest.raises(ValueError):
             ClassicalInstrument(extinction=1.0)
 
-
-class TestNullResidual:
-    def test_ideal_null(self):
-        # mirror: 45-deg linear output, analyzer crossed at 135 deg
-        assert null_residual(MIRROR, 0.0, math.radians(135)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_wrong_compensator_leaves_light(self):
-        p = SampleParams(psi=math.pi / 4, delta=math.pi / 2)
-        residual = null_residual(p, math.pi, math.radians(135))
-        assert residual > 1e-3
-
-    def test_pi_periodic_in_analyzer(self):
-        p = SampleParams.from_beta_delta(0.8, 1.0)
-        for a in np.linspace(0, math.pi, 13):
-            assert null_residual(p, 0.3, float(a)) == pytest.approx(
-                null_residual(p, 0.3, float(a) + math.pi), abs=1e-12
-            )
-
-    def test_nonnegative_everywhere(self):
-        p = SampleParams.from_beta_delta(1.4, 2.2)
-        for dc in np.linspace(-math.pi, math.pi, 11):
-            for a in np.linspace(0, math.pi, 11):
-                assert null_residual(p, float(dc), float(a)) >= 0.0
-
-    def test_constructed_null_configuration(self):
-        # compensator cancels delta; analyzer orthogonal to atan(1/beta)
-        p = SampleParams.from_beta_delta(1.7, 2.1)
-        analyzer = math.atan2(1.0, p.beta) + math.pi / 2
-        assert null_residual(p, p.delta, analyzer) == pytest.approx(0.0, abs=1e-12)

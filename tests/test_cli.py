@@ -240,6 +240,50 @@ class TestEstimate:
         assert "unidentifiable" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0, 45, 1000), (90, 45, 700), (180, 45, 1010)),  # no cross term at any row
+            ((0, 0, 100), (45, 0, 145), (90, 0, 190), (135, 0, 235)),  # theta2 = 0
+        ],
+        ids=["no-cross-term", "theta2-0"],
+    )
+    def test_unidentifiable_plan_exits_4(self, tmp_path, capsys, rows):
+        path = tmp_path / "plan.csv"
+        path.write_text(
+            "theta1_deg,theta2_deg,dwell_s,counts\n" + "".join(f"{t1},{t2},1.0,{k}\n" for t1, t2, k in rows)
+        )
+        assert run(["estimate", str(path), "--method", "fit"]) == 4
+        assert "unidentifiable" in capsys.readouterr().err
+
+    def test_three_angle_reproduces_counts_with_visibility_and_accidentals(self, tmp_path):
+        config = dict(
+            MIRROR_CONFIG,
+            sample={"type": "direct", "psi_deg": math.degrees(math.atan(1.44)), "delta_deg": 60.0},
+            detector={"eta1": 1.0, "eta2": 1.0, "accidental_per_s": 50.0, "visibility": 0.9},
+            plan={"theta2_deg": 45.0, "theta1_list_deg": [0, 45, 90], "dwell_s": 10.0},
+        )
+        cfg = write_config(tmp_path, config)
+        counts = tmp_path / "counts.csv"
+        assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(counts), "--method", "three-angle", "--visibility", "0.9",
+                    "--accidental-per-s", "50", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["residuals"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-6)
+        assert report["delta_deg"] == pytest.approx(60.0, abs=1.0)
+
+    def test_three_angle_zero_visibility_exits_4(self, tmp_path, capsys):
+        csv = self.three_angle_csv(tmp_path, 10000, 15000, 10000)
+        assert run(["estimate", csv, "--method", "three-angle", "--visibility", "0"]) == 4
+        assert "unidentifiable" in capsys.readouterr().err
+
+    def test_three_angle_matches_committed_golden_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
+        assert run(["estimate", csv, "--method", "three-angle", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_three_angle.json").read_bytes()
+
     @pytest.mark.parametrize("method", ["fit", "three-angle"])
     @pytest.mark.parametrize("field", ["theta1", "theta2", "duration"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])

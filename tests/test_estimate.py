@@ -11,12 +11,12 @@ from qellip import (
     FitError,
     FitOptions,
     SampleParams,
-    choose_theta2,
     coincidence_rate,
     expected_counts,
     least_squares_fit,
     simulate_counts,
     subtract_accidentals,
+    three_angle_from_counts,
     three_angle_invert,
 )
 from qellip.estimate import _nll_hessian, fit_negative_log_likelihood
@@ -124,27 +124,70 @@ class TestThreeAngleInvert:
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
+    def test_covariance_is_the_delta_method_at_unit_dwell(self):
+        # var(rate) = rate, propagated through the closed form's Jacobian
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            truth = SampleParams.from_beta_delta(10 ** rng.uniform(-0.5, 0.5), rng.uniform(0.2, 2.9))
+            n0, n45, n90 = forward_rates(10 ** rng.uniform(1, 4), truth, [0, 45, 90])
+            est = three_angle_invert(n0, n45, n90)
+            x, root, cos_d = n0 / n90, math.sqrt(n0 * n90), math.cos(est.delta_mag_hat)
+            d_cos = np.array(
+                [-1 / (2 * root) - cos_d / (2 * n0), 1 / root, -1 / (2 * root) - cos_d / (2 * n90)]
+            )
+            jac = np.array([
+                [0.0, 0.0, 2.0],
+                [1 / ((1 + x * x) * n90), 0.0, -x / ((1 + x * x) * n90)],
+                -d_cos / math.sin(est.delta_mag_hat),
+            ])
+            np.testing.assert_allclose(est.covariance, jac @ np.diag([n0, n45, n90]) @ jac.T, rtol=1e-9)
 
-class TestChooseTheta2:
-    def test_balanced_default(self):
-        assert choose_theta2(1.0) == pytest.approx(math.pi / 4, abs=1e-15)
+    @pytest.mark.parametrize("rate_45", [2.0, 2.0 - 1e-15, 2.0 + 1e-15])
+    def test_edge_reports_widest_delta_variance(self, rate_45):
+        # at |cos delta| = 1 (or within rounding of it) delta carries no
+        # information; the widest variance on [0, pi] is (pi/2)^2
+        est = three_angle_invert(1.0, rate_45, 1.0)
+        assert est.delta_mag_hat == pytest.approx(0.0, abs=1e-7)
+        assert est.covariance[2, 2] == math.pi**2 / 4
+        assert np.linalg.eigvalsh(est.covariance).min() >= 0.0
 
-    def test_equalization_solution(self):
-        assert math.degrees(choose_theta2(2.0)) == pytest.approx(26.565, abs=1e-3)
 
-    def test_limits_and_monotonicity(self):
-        betas = np.logspace(-2, 3, 40)
-        vals = [choose_theta2(float(b)) for b in betas]
-        assert all(0 < v < math.pi / 2 for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+class TestThreeAngleFromCounts:
+    def test_matches_rates_at_unit_dwell(self):
+        recs = [CountRecord(math.radians(t), THETA2, 1.0, k) for t, k in ((0, 900), (45, 1700), (90, 1000))]
+        a = three_angle_from_counts(recs, DET)
+        b = three_angle_invert(900.0, 1700.0, 1000.0)
+        assert (a.C_hat, a.psi_hat, a.delta_mag_hat) == (b.C_hat, b.psi_hat, b.delta_mag_hat)
+        np.testing.assert_array_equal(a.covariance, b.covariance)
 
-    def test_equalizes_terms(self):
-        b = 3.7
-        t2 = choose_theta2(b)
-        t1 = math.pi / 4
-        term1 = b**2 * math.cos(t1) ** 2 * math.sin(t2) ** 2
-        term2 = math.sin(t1) ** 2 * math.cos(t2) ** 2
-        assert term1 == pytest.approx(term2, rel=1e-12)
+    def test_visibility_and_accidentals(self):
+        # noiseless counts at V 0.9 with a background; reading V cos(delta)
+        # as cos(delta) would give 63.26 deg
+        det = DetectorModel(accidental_rate=50.0, visibility=0.9)
+        truth = SampleParams.from_beta_delta(1.2, math.radians(60))
+        rates = [coincidence_rate(2.0, truth, math.radians(t), THETA2, 0.9) + 50.0 for t in (0, 45, 90)]
+        recs = [CountRecord(math.radians(t), THETA2, 1e6, round(r * 1e6)) for t, r in zip((0, 45, 90), rates)]
+        est = three_angle_from_counts(recs, det)
+        assert est.C_hat == pytest.approx(2.0, rel=1e-6)
+        assert est.psi_hat == pytest.approx(truth.psi, abs=1e-6)
+        assert math.degrees(est.delta_mag_hat) == pytest.approx(60.0, abs=1e-4)
+
+    def test_sums_rows_of_one_setting(self):
+        split = [CountRecord(0.0, THETA2, 0.25, 200), CountRecord(0.0, THETA2, 0.75, 700)]
+        rest = [CountRecord(math.radians(t), THETA2, 1.0, k) for t, k in ((45, 1700), (90, 1000), (30, 5))]
+        a = three_angle_from_counts(split + rest, DET)
+        b = three_angle_invert(900.0, 1700.0, 1000.0)
+        assert (a.C_hat, a.psi_hat, a.delta_mag_hat) == (b.C_hat, b.psi_hat, b.delta_mag_hat)
+
+    def test_missing_setting(self):
+        recs = [CountRecord(math.radians(t), THETA2, 1.0, 100) for t in (0, 90)]
+        with pytest.raises(LookupError, match="missing theta1 = 45 deg"):
+            three_angle_from_counts(recs, DET)
+
+    def test_zero_visibility_is_unidentifiable(self):
+        recs = [CountRecord(math.radians(t), THETA2, 1.0, k) for t, k in ((0, 900), (45, 1700), (90, 1000))]
+        with pytest.raises(ValueError, match="unidentifiable"):
+            three_angle_from_counts(recs, DetectorModel(visibility=0.0))
 
 
 class TestSubtractAccidentals:
@@ -208,6 +251,19 @@ class TestLeastSquaresFit:
     def test_unidentifiable_plan(self):
         recs = [CountRecord(0.3, THETA2, 1.0, 100) for _ in range(5)]
         with pytest.raises(ValueError, match="unidentifiable|at least"):
+            least_squares_fit(recs, DET)
+
+    @pytest.mark.parametrize(
+        "theta1s, theta2, counts",
+        [
+            ((0, 90, 180), THETA2, (1000, 700, 1010)),  # cross term vanishes at every row
+            ((0, 45, 90, 135), 0.0, (100, 145, 190, 235)),  # only the sin^2 cos^2 term survives
+        ],
+        ids=["no-cross-term", "theta2-0"],
+    )
+    def test_plan_that_cannot_separate_rate_terms(self, theta1s, theta2, counts):
+        recs = [CountRecord(math.radians(t), theta2, 1.0, k) for t, k in zip(theta1s, counts)]
+        with pytest.raises(ValueError, match="unidentifiable"):
             least_squares_fit(recs, DET)
 
     def test_nonconvergence_carries_best_iterate(self):
@@ -323,7 +379,29 @@ class TestLeastSquaresFit:
 class TestCalibration:
     """Monte-Carlo check that the reported covariance matches the spread of
     the estimates: over fixed seeds, the z-scores (estimate - truth)/sigma
-    of psi and |delta| must have a standard deviation near 1."""
+    of psi and |delta| must have a mean near 0 and a standard deviation
+    near 1."""
+
+    @staticmethod
+    def check_z_scores(estimator, psi_deg, delta_deg, dwell, accidental, vis):
+        truth = SampleParams(psi=math.radians(psi_deg), delta=math.radians(delta_deg))
+        det = DetectorModel(accidental_rate=accidental, visibility=vis)
+        plan = AcquisitionPlan(
+            tuple((math.radians(t), THETA2, dwell) for t in range(0, 180, 15))
+        )
+        z = []
+        for seed in range(200):
+            recs = simulate_counts(plan, ExperimentScale(6000), det, truth, seed=seed)
+            est = estimator(recs, det)
+            sigma = np.sqrt(np.diag(est.covariance))
+            z.append(
+                [
+                    (est.psi_hat - truth.psi) / sigma[1],
+                    (est.delta_mag_hat - truth.delta) / sigma[2],
+                ]
+            )
+        assert np.mean(z, axis=0) == pytest.approx([0.0, 0.0], abs=0.25)
+        assert np.std(z, axis=0) == pytest.approx([1.0, 1.0], abs=0.2)
 
     @pytest.mark.parametrize(
         "psi_deg, delta_deg, dwell, accidental, vis",
@@ -334,20 +412,14 @@ class TestCalibration:
         ],
     )
     def test_z_scores_have_unit_spread(self, psi_deg, delta_deg, dwell, accidental, vis):
-        truth = SampleParams(psi=math.radians(psi_deg), delta=math.radians(delta_deg))
-        det = DetectorModel(accidental_rate=accidental, visibility=vis)
-        plan = AcquisitionPlan(
-            tuple((math.radians(t), THETA2, dwell) for t in range(0, 180, 15))
-        )
-        z = []
-        for seed in range(200):
-            recs = simulate_counts(plan, ExperimentScale(6000), det, truth, seed=seed)
-            est = least_squares_fit(recs, det)
-            sigma = np.sqrt(np.diag(est.covariance))
-            z.append(
-                [
-                    (est.psi_hat - truth.psi) / sigma[1],
-                    (est.delta_mag_hat - truth.delta) / sigma[2],
-                ]
-            )
-        assert np.std(z, axis=0) == pytest.approx([1.0, 1.0], abs=0.2)
+        self.check_z_scores(least_squares_fit, psi_deg, delta_deg, dwell, accidental, vis)
+
+    @pytest.mark.parametrize(
+        "psi_deg, delta_deg, dwell, accidental, vis",
+        [
+            (89.8, 130.0, 1.0, 5.0, 0.97),  # V < 1: the cross term is V cos(delta)
+            (37.0, 80.0, 10.0, 50.0, 0.97),  # 10 s dwell: var(rate) = k / t^2, not k
+        ],
+    )
+    def test_three_angle_z_scores_have_unit_spread(self, psi_deg, delta_deg, dwell, accidental, vis):
+        self.check_z_scores(three_angle_from_counts, psi_deg, delta_deg, dwell, accidental, vis)
