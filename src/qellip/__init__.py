@@ -7,7 +7,7 @@ calibration.  A minimal classical intensity-ratio ellipsometer is
 included as a comparison baseline.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .polarization import (
     BASIS,
@@ -40,7 +40,6 @@ from .experiment import (
 )
 from .estimate import (
     EllipsometricEstimate,
-    FitOptions,
     FitError,
     three_angle_invert,
     three_angle_from_counts,
@@ -78,7 +77,6 @@ __all__ = [
     "simulate_counts",
     "visibility",
     "EllipsometricEstimate",
-    "FitOptions",
     "FitError",
     "three_angle_invert",
     "three_angle_from_counts",

@@ -71,23 +71,27 @@ def _get(d: dict, key: str, context: str, required=True, default=None):
     return d[key]
 
 
+def _obj(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected an object")
+    return value
+
+
 def _num(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
+    # json also reads NaN, Infinity and integers too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
 
 
 def _complex_index(d, context: str) -> complex:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context}: expected an object with n_re/n_im")
+    _obj(d, context)
     re = _num(_get(d, "n_re", context), f"{context}.n_re")
     im = _num(_get(d, "n_im", context, required=False, default=0.0), f"{context}.n_im")
     return complex(re, im)
 
 
 def _parse_sample(d, context="sample") -> SampleParams:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context}: expected an object")
     kind = _get(d, "type", context)
     try:
         if kind == "direct":
@@ -129,8 +133,6 @@ def _parse_sample(d, context="sample") -> SampleParams:
 
 
 def _parse_plan(d, context="plan") -> AcquisitionPlan:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context}: expected an object")
     theta2 = math.radians(_num(_get(d, "theta2_deg", context), f"{context}.theta2_deg"))
     dwell = _num(_get(d, "dwell_s", context), f"{context}.dwell_s")
     if dwell <= 0:
@@ -141,7 +143,7 @@ def _parse_plan(d, context="plan") -> AcquisitionPlan:
             raise ConfigError(f"{context}.theta1_list_deg: expected a non-empty list")
         angles = [_num(v, f"{context}.theta1_list_deg[{i}]") for i, v in enumerate(lst)]
     elif "sweep" in d:
-        sw = d["sweep"]
+        sw = _obj(d["sweep"], f"{context}.sweep")
         start = _num(_get(sw, "start", f"{context}.sweep"), f"{context}.sweep.start")
         stop = _num(_get(sw, "stop", f"{context}.sweep"), f"{context}.sweep.stop")
         step = _num(_get(sw, "step", f"{context}.sweep"), f"{context}.sweep.step")
@@ -171,8 +173,8 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
 
-    sample = _parse_sample(_get(raw, "sample", "config"))
-    det_raw = _get(raw, "detector", "config", required=False, default={})
+    sample = _parse_sample(_obj(_get(raw, "sample", "config"), "sample"))
+    det_raw = _obj(_get(raw, "detector", "config", required=False, default={}), "detector")
     try:
         detector = DetectorModel(
             eta1=_num(det_raw.get("eta1", 1.0), "detector.eta1"),
@@ -182,16 +184,16 @@ def load_config(path: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"detector: {exc}") from exc
-    scale_raw = _get(raw, "scale", "config")
+    scale_raw = _obj(_get(raw, "scale", "config"), "scale")
     try:
         scale = ExperimentScale(pair_rate=_num(_get(scale_raw, "pairs_per_s", "scale"), "scale.pairs_per_s"))
     except ValueError as exc:
         raise ConfigError(f"scale.pairs_per_s: {exc}") from exc
-    plan = _parse_plan(_get(raw, "plan", "config"))
+    plan = _parse_plan(_obj(_get(raw, "plan", "config"), "plan"))
     seed = _get(raw, "seed", "config", required=False, default=0)
     if isinstance(seed, bool) or not isinstance(seed, int) or not (0 <= seed < 2**64):
         raise ConfigError("seed: must be an unsigned 64-bit integer")
-    inst_raw = _get(raw, "instrument", "config", required=False, default={})
+    inst_raw = _obj(_get(raw, "instrument", "config", required=False, default={}), "instrument")
     try:
         instrument = ClassicalInstrument(
             gain_drift=_num(inst_raw.get("gain_drift", 1.0), "instrument.gain_drift"),

@@ -32,6 +32,8 @@ from .experiment import DetectorModel, analyzer_terms, rate_shape, record_column
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
 ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angle setting
 _THREE_ANGLE_TERMS = analyzer_terms(np.radians([0.0, 45.0, 90.0]), np.pi / 4)
+_MAX_ITERATIONS = 500  # Newton steps before the fit gives up
+_DECREMENT_TOL = 1e-6  # g^T H^+ g at an accepted optimum: within 1e-3 sigma of it
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,6 @@ class EllipsometricEstimate:
     @property
     def beta_hat(self) -> float:
         return float(np.sqrt(np.tan(self.psi_hat)))
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be positive")
 
 
 class FitError(RuntimeError):
@@ -178,7 +168,10 @@ def fit_negative_log_likelihood(u, records, det: DetectorModel):
     """Poisson negative log-likelihood and its gradient.
 
     u = (log C, log beta, delta).  The fringe visibility is taken from
-    `det`.  The constant sum(log k!) term is dropped.
+    `det`.  It is offset by a constant so that it is 0 where every record's
+    mean equals its count (it is half the Poisson deviance): near the
+    optimum its value is then of the order of the number of records, not of
+    the counts, and a change of 1e-6 in it is not lost to rounding.
     """
     t1, t2, dur, k = record_columns(records)
     return _nll_and_grad(np.asarray(u, dtype=float), analyzer_terms(t1, t2), dur, k, det)
@@ -193,7 +186,7 @@ def _nll_and_grad(u, terms, dur, k, det: DetectorModel):
         mu = (c * shape + det.accidental_rate) * dur
         mu_safe = np.maximum(mu, 1e-300)
 
-        nll = float(np.sum(mu - k * np.log(mu_safe)))
+        nll = float(np.sum(mu - k - k * np.log(mu_safe / np.maximum(k, 1))))
         w = 1.0 - k / mu_safe  # d nll / d mu
         grad = np.array(
             [
@@ -207,29 +200,30 @@ def _nll_and_grad(u, terms, dur, k, det: DetectorModel):
     return nll, np.nan_to_num(grad, nan=0.0, posinf=1e300, neginf=-1e300)
 
 
-def _grid_init(terms, dur, k, det: DetectorModel) -> np.ndarray:
-    """Coarse (beta, delta) grid seed; C from the zero-accidental closed form.
+def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
+    """Seed u = (log C, log beta, delta) from the linear model of the counts.
 
-    One beta at a time against all deltas, so the largest temporary is
-    (deltas x records), never (grid x records).
+    The rate is linear in x = (C beta^2, C, 2 C V beta cos delta) over the
+    three analyzer terms, so one least-squares solve of k - A t on the
+    dwell-weighted terms gives x, and its rank says whether the plan
+    separates the terms at all (same tolerance as matrix_rank).
     """
-    total = float(np.sum(k))
-    # Not delta = 0 or pi: d nll/d delta goes as sin delta, so BFGS never leaves them.
-    deltas = np.linspace(0.0, np.pi, 13)[1:-1]
-    best = (np.inf,)
-    for b in np.logspace(-1.0, 1.0, 15):
-        shape = rate_shape(terms, b, deltas[:, None], det.visibility)
-        denom = np.sum(shape * dur, axis=1)
-        ok = (denom > 0) & (total > 0)
-        c = np.divide(total, denom, out=np.zeros_like(denom), where=ok)
-        mu = np.maximum((c[:, None] * shape + det.accidental_rate) * dur, 1e-300)
-        nll = np.where(ok, np.sum(mu - k * np.log(mu), axis=1), np.inf)
-        j = int(np.argmin(nll))
-        if nll[j] < best[0]:
-            best = (nll[j], np.log(c[j]), np.log(b), deltas[j])
-    if not np.isfinite(best[0]):
-        raise FitError("cannot seed fit: no counts or degenerate plan")
-    return np.array(best[1:])
+    if not np.sum(k) > 0:
+        raise FitError("cannot seed fit: no counts")
+    design = np.column_stack(terms) * dur[:, None]
+    x, _, rank, _ = np.linalg.lstsq(design, k - det.accidental_rate * dur, rcond=None)
+    if rank < 3:
+        raise ValueError("unidentifiable: the plan's analyzer settings cannot separate the rate terms")
+    if det.visibility == 0.0:
+        raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
+    # Each polarization at >= 1 % of the larger (or of the mean rate, when
+    # accidentals swamp both), so psi starts within [0.6, 89.4] deg and C on
+    # the scale of the counts: the likelihood goes flat as either runs to 0.
+    cb2, c = np.maximum(x[:2], 1e-2 * max(x[0], x[1], np.sum(k) / np.sum(dur)))
+    cos_d = x[2] / (2.0 * np.sqrt(cb2 * c) * det.visibility)
+    # Not near delta = 0 or pi: d nll/d delta goes as sin delta there.
+    delta = np.clip(np.arccos(np.clip(cos_d, -1.0, 1.0)), np.pi / 12, 11 * np.pi / 12)
+    return np.array([np.log(c), 0.5 * np.log(cb2 / c), delta])
 
 
 def _nll_hessian(u, terms, dur, k, det: DetectorModel) -> np.ndarray:
@@ -258,42 +252,38 @@ def least_squares_fit(
     records,
     det: DetectorModel,
     init: EllipsometricEstimate | None = None,
-    opts: FitOptions | None = None,
 ) -> EllipsometricEstimate:
     """Poisson maximum-likelihood fit of (C, beta, delta) to count records.
 
     The fringe visibility is taken from `det`: V enters the rate only as
     V cos(delta), so it cannot be fitted alongside delta.
 
-    The covariance is the inverse observed Fisher information over
-    (C, psi, delta).  Raises FitError (carrying the best iterate) on
-    non-convergence or when psi runs to 0 or 90 deg, where one polarization
-    adds under one expected count and the covariance means nothing; raises
-    ValueError on unidentifiable plans and at visibility 0.
+    Seeded from the linear model of the counts (or from `init`), stepped
+    by trust-region Newton on the exact Hessian, and accepted when the
+    Newton decrement g^T H^+ g is at most _DECREMENT_TOL.  The covariance
+    is the inverse observed Fisher information over (C, psi, delta).
+    Raises FitError (carrying the best iterate) on non-convergence or when
+    psi runs to 0 or 90 deg, where one polarization adds under one
+    expected count and the covariance means nothing; raises ValueError on
+    unidentifiable plans and at visibility 0.
     """
-    opts = opts or FitOptions()
     t1, t2, dur, k = record_columns(records)
     terms = analyzer_terms(t1, t2)
-    # The rate is linear in (C beta^2, C, C V beta cos delta) over the three
-    # terms, so the plan identifies them exactly when the terms have rank 3.
-    if np.linalg.matrix_rank(np.column_stack(terms)) < 3:
-        raise ValueError("unidentifiable: the plan's analyzer settings cannot separate the rate terms")
-    if det.visibility == 0.0:
-        raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
-
+    u0 = _linear_seed(terms, dur, k, det)  # also the identifiability checks
     if init is not None:
         beta0 = max(init.beta_hat, 1e-6)
         u0 = np.array([np.log(max(init.C_hat, 1e-12)), np.log(beta0), init.delta_mag_hat])
-    else:
-        u0 = _grid_init(terms, dur, k, det)
 
     res = minimize(
         _nll_and_grad,
         u0,
         args=(terms, dur, k, det),
         jac=True,
-        method="BFGS",
-        options={"maxiter": opts.max_iterations, "gtol": opts.gradient_tolerance},
+        hess=_nll_hessian,
+        method="trust-exact",
+        # No gradient stop: the steps end where the model predicts a fall in
+        # the NLL too small to resolve, and the decrement test below judges.
+        options={"maxiter": _MAX_ITERATIONS, "gtol": 0.0},
     )
 
     c_hat = float(np.exp(res.x[0]))
@@ -302,16 +292,17 @@ def least_squares_fit(
     psi = float(np.arctan(beta * beta))
 
     u = np.array([res.x[0], res.x[1], delta])
-    cov = _fisher_covariance(u, _nll_hessian(u, terms, dur, k, det))
+    _, grad = _nll_and_grad(u, terms, dur, k, det)
+    hess = _nll_hessian(u, terms, dur, k, det)
     estimate = EllipsometricEstimate(
         C_hat=c_hat,
         psi_hat=psi,
         delta_mag_hat=delta,
-        covariance=cov,
+        covariance=_fisher_covariance(u, hess),
         method="least_squares",
     )
-    grad_ok = np.max(np.abs(res.jac)) <= 1e-5 * max(1.0, abs(res.fun))
-    if not (res.success or grad_ok):
+    # abs: where the Hessian is indefinite the decrement can be negative
+    if not abs(grad @ np.linalg.pinv(hess) @ grad) <= _DECREMENT_TOL:
         raise FitError(f"fit did not converge: {res.message}", estimate=estimate)
     a, bb, _ = terms
     if not (min(beta * beta * np.dot(a, dur), np.dot(bb, dur)) * c_hat >= 1.0):

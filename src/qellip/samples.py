@@ -100,8 +100,8 @@ class FilmStack:
             raise ValueError("n_ambient must be positive")
         layers = tuple((complex(n), float(d)) for n, d in self.layers)
         for n, d in layers:
-            if d < 0:
-                raise ValueError("layer thicknesses must be >= 0")
+            if not (np.isfinite(d) and d >= 0):
+                raise ValueError("layer thicknesses must be finite and >= 0")
             if not (np.isfinite(n.real) and np.isfinite(n.imag)):
                 raise ValueError("layer indices must be finite")
         object.__setattr__(self, "layers", layers)

@@ -84,6 +84,28 @@ class TestSimulate:
         assert run(["simulate", "--config", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("detector", [], "detector"),
+            ("detector", 3, "detector"),
+            ("scale", 5, "scale"),
+            ("instrument", "x", "instrument"),
+            ("plan", dict(MIRROR_CONFIG["plan"], sweep=5), "plan.sweep"),
+            ("plan", dict(MIRROR_CONFIG["plan"], sweep={"start": 0, "stop": math.inf, "step": 15}),
+             "plan.sweep.stop"),
+            ("plan", dict(MIRROR_CONFIG["plan"], sweep={"start": 0, "stop": math.nan, "step": 15}),
+             "plan.sweep.stop"),
+            ("detector", dict(MIRROR_CONFIG["detector"], visibility=-math.inf), "detector.visibility"),
+        ],
+        ids=["detector-list", "detector-number", "scale-number", "instrument-string",
+             "sweep-number", "sweep-infinity", "sweep-nan", "visibility-infinity"],
+    )
+    def test_malformed_section_exits_2_naming_field(self, tmp_path, capsys, section, value, field):
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, **{section: value}))
+        assert run(["simulate", "--config", cfg]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
     def test_zero_sweep_step_exits_2(self, tmp_path):
         bad = dict(
             MIRROR_CONFIG,
@@ -217,6 +239,16 @@ class TestEstimate:
         )
         assert run(["estimate", str(path), "--method", "fit"]) == 3
 
+    def test_all_zero_counts_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text(
+            "theta1_deg,theta2_deg,dwell_s,counts\n" + "".join(f"{t},45.0,1.0,0\n" for t in (0, 45, 90, 135))
+        )
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(path), "--method", "fit", "--out", str(out)]) == 4
+        assert "cannot seed fit: no counts" in capsys.readouterr().err
+        assert not out.exists()
+
 
     def test_psi_boundary_exits_4(self, tmp_path):
         path = tmp_path / "null.csv"
@@ -283,6 +315,12 @@ class TestEstimate:
         csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
         assert run(["estimate", csv, "--method", "three-angle", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_three_angle.json").read_bytes()
+
+    def test_fit_matches_committed_golden_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
+        assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
 
     @pytest.mark.parametrize("method", ["fit", "three-angle"])
     @pytest.mark.parametrize("field", ["theta1", "theta2", "duration"])

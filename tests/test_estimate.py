@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from qellip import (
     AcquisitionPlan,
     CountRecord,
     DetectorModel,
+    EllipsometricEstimate,
     ExperimentScale,
     FitError,
-    FitOptions,
     SampleParams,
     coincidence_rate,
     expected_counts,
@@ -19,6 +20,7 @@ from qellip import (
     three_angle_from_counts,
     three_angle_invert,
 )
+import qellip.estimate
 from qellip.estimate import _nll_hessian, fit_negative_log_likelihood
 from qellip.experiment import analyzer_terms, record_columns
 
@@ -266,15 +268,48 @@ class TestLeastSquaresFit:
         with pytest.raises(ValueError, match="unidentifiable"):
             least_squares_fit(recs, DET)
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         truth = SampleParams.from_beta_delta(1.5, 1.0)
         plan = AcquisitionPlan(
             tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
         )
         recs = simulate_counts(plan, ExperimentScale(1e4), DET, truth, seed=9)
-        with pytest.raises(FitError) as excinfo:
-            least_squares_fit(recs, DET, opts=FitOptions(max_iterations=1))
+        far = EllipsometricEstimate(1e3, 0.2, 2.8, np.zeros((3, 3)), method="init")
+        monkeypatch.setattr(qellip.estimate, "_MAX_ITERATIONS", 1)
+        with pytest.raises(FitError, match="did not converge") as excinfo:
+            least_squares_fit(recs, DET, init=far)
         assert excinfo.value.estimate is not None
+
+    @pytest.mark.parametrize("shift_sigma, converged", [(0.5, False), (1e-4, True)])
+    def test_newton_decrement_decides_convergence(self, monkeypatch, shift_sigma, converged):
+        # An optimizer that stops shift_sigma standard deviations off in delta:
+        # g^T H^+ g is then shift_sigma^2.  At 0.5 sigma max |g| (995) is
+        # still under 1e-5 |sum(mu - k log mu)| (1239), the old acceptance rule.
+        truth = SampleParams.from_beta_delta(1.5, 1.0)
+        plan = AcquisitionPlan(
+            tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
+        )
+        recs = simulate_counts(plan, ExperimentScale(1e6), DET, truth, seed=9)
+        best = least_squares_fit(recs, DET)
+        stop = np.array([math.log(best.C_hat), math.log(best.beta_hat), best.delta_mag_hat])
+        stop[2] += shift_sigma * math.sqrt(best.covariance[2, 2])
+
+        def stopped(fun, x0, args, **kwargs):
+            return OptimizeResult(x=stop, message="stopped", success=True)
+
+        monkeypatch.setattr(qellip.estimate, "minimize", stopped)
+        if converged:
+            assert least_squares_fit(recs, DET).delta_mag_hat == stop[2]
+        else:
+            with pytest.raises(FitError, match="did not converge") as excinfo:
+                least_squares_fit(recs, DET)
+            assert excinfo.value.estimate.delta_mag_hat == stop[2]
+
+    def test_all_zero_counts_cannot_seed(self):
+        recs = [CountRecord(math.radians(t), THETA2, 1.0, 0) for t in range(0, 180, 15)]
+        with pytest.raises(FitError, match="cannot seed fit: no counts") as excinfo:
+            least_squares_fit(recs, DET)
+        assert excinfo.value.estimate is None
 
     @pytest.mark.parametrize("counts, psi_deg", [((1000, 500, 0, 500), 90.0), ((0, 500, 1000, 500), 0.0)])
     def test_psi_boundary_raises_with_best_iterate(self, counts, psi_deg):
@@ -307,6 +342,21 @@ class TestLeastSquaresFit:
                     - fit_negative_log_likelihood(um, recs, DET)[0]
                 ) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+    def test_nll_is_half_the_poisson_deviance(self):
+        # sum(mu - k + k log(k/mu)): 0 where mu = k, so at 1e8 counts a change
+        # of 1e-6 near the optimum is not lost to a ~1e9 offset
+        rows = ((0, 0), (45, 1200), (90, 300_000_000), (135, 7))
+        recs = [CountRecord(math.radians(t), THETA2, 2.0, k) for t, k in rows]
+        det = DetectorModel(accidental_rate=3.0, visibility=0.9)
+        c, beta, delta = 1.5e8, 0.8, 1.0
+        params = SampleParams.from_beta_delta(beta, delta)
+        want = 0.0
+        for t, k in rows:
+            mu = 2.0 * (coincidence_rate(c, params, math.radians(t), THETA2, 0.9) + 3.0)
+            want += mu - k + (k * math.log(k / mu) if k else 0.0)
+        nll, _ = fit_negative_log_likelihood([math.log(c), math.log(beta), delta], recs, det)
+        assert nll == pytest.approx(want, rel=1e-9)
 
     def test_hessian_matches_finite_differences_of_gradient(self):
         truth = SampleParams.from_beta_delta(1.1, 0.8)

@@ -154,6 +154,13 @@ class TestFilmStack:
             FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=1.0,
                       layers=((1.5, -1e-9),), n_substrate=1.5)
 
+    @pytest.mark.parametrize("thickness", [math.nan, math.inf])
+    def test_non_finite_thickness_rejected(self, thickness):
+        # NaN slipped past a d < 0 test and reached the Airy sum
+        with pytest.raises(ValueError, match="thicknesses must be finite"):
+            FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=1.0,
+                      layers=((1.5, thickness),), n_substrate=1.5)
+
 
 class TestPsiDeltaFromCoeffs:
     def test_mirror_like_equality(self):
