@@ -33,6 +33,7 @@ from .experiment import (
     ExperimentScale,
     AcquisitionPlan,
     CountRecord,
+    CountTable,
     coincidence_rate,
     expected_counts,
     simulate_counts,
@@ -72,6 +73,7 @@ __all__ = [
     "ExperimentScale",
     "AcquisitionPlan",
     "CountRecord",
+    "CountTable",
     "coincidence_rate",
     "expected_counts",
     "simulate_counts",

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import methodcaller
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from .estimate import FitError, least_squares_fit, three_angle_from_counts, thre
 from .experiment import (
     AcquisitionPlan,
     CountRecord,
+    CountTable,
     DetectorModel,
     ExperimentScale,
     analyzer_terms,
     coincidence_rate,
+    count_table,
     rate_shape,
     record_columns,
     simulate_counts,
@@ -43,6 +46,7 @@ EXIT_NUMERIC = 4
 
 COUNTS_HEADER = "theta1_deg,theta2_deg,dwell_s,counts"
 FRINGE_HEADER = "theta1_deg,expected_rate"
+MAX_SWEEP_POINTS = 1_000_000  # checked before any sweep angle is made
 
 
 class ConfigError(Exception):
@@ -151,11 +155,16 @@ def _parse_plan(d, context="plan") -> AcquisitionPlan:
             raise ConfigError(f"{context}.sweep.step: must be positive")
         if stop < start:
             raise ConfigError(f"{context}.sweep.stop: must be >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        angles = [start + i * step for i in range(n)]
+        steps = (stop - start) / step  # inf where the ratio overflows
+        if not steps + 1.0 <= MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"{context}.sweep.step: the sweep would have more than {MAX_SWEEP_POINTS} points"
+            )
+        angles = start + np.arange(int(math.floor(steps + 1e-9)) + 1) * step
     else:
         raise ConfigError(f"{context}: needs theta1_list_deg or sweep")
-    settings = tuple((math.radians(a), theta2, dwell) for a in angles)
+    theta1 = np.radians(angles)
+    settings = np.column_stack((theta1, np.full_like(theta1, theta2), np.full_like(theta1, dwell)))
     try:
         return AcquisitionPlan(settings)
     except ValueError as exc:
@@ -230,48 +239,52 @@ def _write_json(report: dict, out_path):
 
 
 def counts_csv(records) -> str:
-    lines = [COUNTS_HEADER]
-    for rec in records:
-        lines.append(
-            f"{math.degrees(rec.theta1):.6f},{math.degrees(rec.theta2):.6f},"
-            f"{rec.duration:.6f},{rec.counts}"
-        )
-    return "\n".join(lines) + "\n"
+    table = count_table(records)
+    rows = zip(np.degrees(table.theta1).tolist(), np.degrees(table.theta2).tolist(),
+               table.duration.tolist(), table.counts.tolist())
+    return COUNTS_HEADER + "\n" + "".join(map("%.6f,%.6f,%.6f,%d\n".__mod__, rows))
 
 
-def parse_counts_csv(text: str):
-    """Parse the counts CSV into CountRecord objects (angles -> radians)."""
+def parse_counts_csv(text: str) -> CountTable:
+    """Parse the counts CSV into a CountTable (angles -> radians).
+
+    Blank lines are skipped.  All rows are read in one pass, angles and
+    dwell as by float() and counts as by int(); only when that fails are the
+    lines read one at a time, to name the first bad one.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != COUNTS_HEADER:
         raise DataError(f"expected header '{COUNTS_HEADER}'")
-    records = []
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
+        raise DataError("no data rows")
+    try:
+        fields = ",".join(rows).split(",")
+        if set(map(methodcaller("count", ","), rows)) != {3}:
+            raise ValueError("expected 4 comma-separated fields")
+        theta1, theta2, dwell = (np.array(list(map(float, fields[j::4]))) for j in range(3))
+        counts = np.array(list(map(int, fields[3::4])), dtype=np.int64)
+        return CountTable(np.radians(theta1), np.radians(theta2), dwell, counts)
+    except (ValueError, OverflowError) as exc:
+        raise _first_bad_line(lines) or DataError(str(exc)) from exc
+
+
+def _first_bad_line(lines):
+    """A DataError naming the first data line that is not a valid record, or None."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise DataError(f"line {lineno}: expected 4 comma-separated fields")
+            return DataError(f"line {lineno}: expected 4 comma-separated fields")
         try:
-            t1 = float(parts[0])
-            t2 = float(parts[1])
-            dwell = float(parts[2])
-            counts = int(parts[3])
+            t1, t2, dwell, counts = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
+            CountRecord(theta1=math.radians(t1), theta2=math.radians(t2), duration=dwell, counts=counts)
         except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-        try:
-            records.append(
-                CountRecord(
-                    theta1=math.radians(t1),
-                    theta2=math.radians(t2),
-                    duration=dwell,
-                    counts=counts,
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-    if not records:
-        raise DataError("no data rows")
-    return records
+            return DataError(f"line {lineno}: {exc}")
+        if counts >= 2**63:
+            return DataError(f"line {lineno}: counts must be below 2**63")
+    return None
 
 
 def cmd_simulate(args) -> int:
@@ -284,12 +297,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_fringe(args) -> int:
     cfg = load_config(args.config)
-    c_eff = cfg.scale.detected_rate(cfg.detector)
-    lines = [FRINGE_HEADER]
-    for t1, t2, _ in cfg.plan.settings:
-        rate = coincidence_rate(c_eff, cfg.sample, t1, t2, cfg.detector.visibility)
-        lines.append(f"{math.degrees(t1):.6f},{rate:.6f}")
-    _write_text("\n".join(lines) + "\n", args.out)
+    plan, sample = cfg.plan, cfg.sample
+    shape = rate_shape(analyzer_terms(plan.theta1, plan.theta2), sample.beta, sample.delta,
+                       cfg.detector.visibility)
+    rates = cfg.scale.detected_rate(cfg.detector) * shape
+    rows = zip(np.degrees(plan.theta1).tolist(), rates.tolist())
+    _write_text(FRINGE_HEADER + "\n" + "".join(map("%.6f,%.6f\n".__mod__, rows)), args.out)
     return EXIT_OK
 
 
@@ -328,9 +341,9 @@ def cmd_estimate(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {args.counts_csv}: {exc}") from exc
-    records = parse_counts_csv(text)
+    table = parse_counts_csv(text)
     # Canonical order makes the report independent of input row order.
-    records.sort(key=lambda r: (r.theta1, r.theta2, r.duration, r.counts))
+    records = table[np.lexsort((table.counts, table.duration, table.theta2, table.theta1))]
     try:
         det = DetectorModel(
             eta1=args.eta1,

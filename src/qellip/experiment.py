@@ -10,6 +10,7 @@ simulator, the estimators and the CLI report all evaluate it there.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,27 +58,44 @@ class ExperimentScale:
         return self.pair_rate * det.eta1 * det.eta2
 
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values)
+    arr.setflags(write=False)
+    return arr
+
+
 class AcquisitionPlan:
-    """Ordered analyzer settings: (theta1, theta2, duration_seconds)."""
+    """Ordered analyzer settings: (theta1, theta2, duration_seconds).
 
-    settings: tuple
+    Built from an iterable of such triples or an (n, 3) array, and held as
+    the read-only float columns theta1, theta2 and duration.
+    """
 
-    def __post_init__(self):
-        settings = tuple(
-            (float(t1), float(t2), float(dur)) for t1, t2, dur in self.settings
-        )
-        if not settings:
+    __slots__ = ("theta1", "theta2", "duration")
+
+    def __init__(self, settings):
+        cols = np.array(settings if isinstance(settings, np.ndarray) else list(settings), dtype=float)
+        if cols.size == 0:
             raise ValueError("acquisition plan must be non-empty")
-        for t1, t2, dur in settings:
-            if not (np.isfinite(t1) and np.isfinite(t2)):
-                raise ValueError("analyzer angles must be finite")
-            if not (np.isfinite(dur) and dur > 0):
-                raise ValueError("durations must be positive")
-        object.__setattr__(self, "settings", settings)
+        if cols.ndim != 2 or cols.shape[1] != 3:
+            raise ValueError("settings must be (theta1, theta2, duration) triples")
+        if not np.all(np.isfinite(cols[:, :2])):
+            raise ValueError("analyzer angles must be finite")
+        if not np.all(np.isfinite(cols[:, 2]) & (cols[:, 2] > 0)):
+            raise ValueError("durations must be positive")
+        for name, col in zip(self.__slots__, cols.T):
+            object.__setattr__(self, name, _read_only(col))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AcquisitionPlan is immutable")
+
+    @property
+    def settings(self) -> tuple:
+        """The settings as a tuple of (theta1, theta2, duration) float triples."""
+        return tuple(zip(self.theta1.tolist(), self.theta2.tolist(), self.duration.tolist()))
 
     def __len__(self) -> int:
-        return len(self.settings)
+        return len(self.theta1)
 
 
 @dataclass(frozen=True)
@@ -99,15 +117,84 @@ class CountRecord:
         object.__setattr__(self, "counts", int(self.counts))
 
 
+class CountTable(Sequence):
+    """Count records as columns: theta1, theta2 (radians) and duration as
+    read-only float arrays, counts as a read-only int64 array.
+
+    A sequence of CountRecord: len() is the number of rows, indexing with an
+    integer and iteration give records, and an index array or a slice gives
+    the table of those rows.  Tables compare equal when every column does.
+    """
+
+    __slots__ = ("theta1", "theta2", "duration", "counts")
+
+    def __new__(cls, theta1, theta2, duration, counts):
+        theta1, theta2, duration = (np.array(c, dtype=float) for c in (theta1, theta2, duration))
+        counts = np.array(counts)
+        if not theta1.shape == theta2.shape == duration.shape == counts.shape or theta1.ndim != 1:
+            raise ValueError("columns must be one-dimensional and of equal length")
+        if not (np.all(np.isfinite(theta1)) and np.all(np.isfinite(theta2))):
+            raise ValueError("analyzer angles must be finite")
+        if not np.all(np.isfinite(duration) & (duration > 0)):
+            raise ValueError("duration must be finite and positive")
+        if counts.dtype.kind not in "iuf" or not np.all(
+            (counts >= 0) & (counts < 2**63) & (counts == np.floor(counts))
+        ):
+            raise ValueError("counts must be non-negative integers below 2**63")
+        return cls._trusted(theta1, theta2, duration, counts.astype(np.int64))
+
+    @classmethod
+    def _trusted(cls, theta1, theta2, duration, counts):
+        """A table of columns already known to be valid."""
+        table = object.__new__(cls)
+        for name, col in zip(cls.__slots__, (theta1, theta2, duration, counts)):
+            object.__setattr__(table, name, _read_only(col))
+        return table
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CountTable is immutable")
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            j = range(len(self))[index]  # bounds check, negative indices
+            return CountRecord(
+                float(self.theta1[j]), float(self.theta2[j]), float(self.duration[j]), int(self.counts[j])
+            )
+        return self._trusted(self.theta1[index], self.theta2[index], self.duration[index], self.counts[index])
+
+    def __iter__(self):
+        for row in zip(self.theta1.tolist(), self.theta2.tolist(), self.duration.tolist(),
+                       self.counts.tolist()):
+            yield CountRecord(*row)
+
+    def __eq__(self, other):
+        if not isinstance(other, CountTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in self.__slots__)
+
+    __hash__ = None
+
+
+def count_table(records) -> CountTable:
+    """Count records as a CountTable; a CountTable is returned as it is."""
+    if isinstance(records, CountTable):
+        return records
+    records = list(records)
+    return CountTable(
+        [r.theta1 for r in records],
+        [r.theta2 for r in records],
+        [r.duration for r in records],
+        [r.counts for r in records],
+    )
+
+
 def record_columns(records):
     """(theta1, theta2, duration, counts) of count records as float arrays."""
-    records = list(records)
-    return (
-        np.array([r.theta1 for r in records]),
-        np.array([r.theta2 for r in records]),
-        np.array([r.duration for r in records]),
-        np.array([r.counts for r in records], dtype=float),
-    )
+    table = count_table(records)
+    return table.theta1, table.theta2, table.duration, table.counts.astype(float)
 
 
 def analyzer_terms(theta1, theta2):
@@ -175,9 +262,8 @@ def expected_counts(
     a constant background rate.  Means are >= 0, and exactly 0 at an
     analyzer null without accidentals.
     """
-    t1, t2, dur = np.array(plan.settings).T
-    shape = rate_shape(analyzer_terms(t1, t2), params.beta, params.delta, det.visibility)
-    return (scale.detected_rate(det) * shape + det.accidental_rate) * dur
+    shape = rate_shape(analyzer_terms(plan.theta1, plan.theta2), params.beta, params.delta, det.visibility)
+    return (scale.detected_rate(det) * shape + det.accidental_rate) * plan.duration
 
 
 def simulate_counts(
@@ -186,26 +272,37 @@ def simulate_counts(
     det: DetectorModel,
     params: SampleParams,
     seed: int,
-) -> list:
+) -> CountTable:
     """Draw one Poisson realization of the plan.
 
     Each record uses its own counter-based Philox stream keyed by
     (seed, record index), so identical inputs give bit-identical outputs
-    and records can be generated independently in any order.
+    and records can be generated independently in any order.  One Philox
+    generator is reset to each record's key, counter 0 and an empty buffer,
+    which is the state of a new Philox(key=[seed, i]).  A record of mean 0
+    draws nothing and counts 0.
     """
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must be an unsigned 64-bit integer")
     means = expected_counts(plan, scale, det, params)
-    records = []
-    for i, (t1, t2, dur) in enumerate(plan.settings):
-        if means[i] == 0.0:
-            k = 0
-        else:
-            key = np.array([seed, i], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            k = int(rng.poisson(means[i]))
-        records.append(CountRecord(theta1=t1, theta2=t2, duration=dur, counts=k))
-    return records
+    counts = np.zeros(len(means), dtype=np.int64)
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    key = [int(seed), 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # buffer used up, as in a new Philox
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    drawn = np.flatnonzero(means)
+    for i, mean in zip(drawn.tolist(), means[drawn].tolist()):
+        key[1] = i
+        bit_generator.state = state
+        counts[i] = rng.poisson(mean)
+    return CountTable._trusted(plan.theta1, plan.theta2, plan.duration, counts)
 
 
 def visibility(rates) -> float:

@@ -105,7 +105,15 @@ class FilmStack:
             if not (np.isfinite(n.real) and np.isfinite(n.imag)):
                 raise ValueError("layer indices must be finite")
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "n_substrate", complex(self.n_substrate))
+        object.__setattr__(self, "n_substrate", _substrate_index(self.n_substrate))
+
+
+def _substrate_index(n) -> complex:
+    """The substrate index as a complex; the stack's admittances divide by it."""
+    n = complex(n)
+    if not (np.isfinite(n.real) and np.isfinite(n.imag)) or n == 0:
+        raise ValueError("substrate index must be finite and non-zero")
+    return n
 
 
 def sample_jones(params: SampleParams) -> np.ndarray:
@@ -176,7 +184,7 @@ def fresnel_interface(n_ambient: float, n_substrate: complex, angle: float) -> R
         raise ValueError("n_ambient must be positive")
     if not (0.0 <= angle < np.pi / 2):
         raise ValueError("incidence angle must lie in [0, pi/2); grazing rejected")
-    return _stack_coefficients(n_ambient, angle, (), complex(n_substrate), 1.0)
+    return _stack_coefficients(n_ambient, angle, (), _substrate_index(n_substrate), 1.0)
 
 
 def film_stack_reflectance(stack: FilmStack) -> ReflectionPair:

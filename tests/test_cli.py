@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import qellip.cli
 from qellip import __version__
 from qellip.cli import main
 
@@ -105,6 +107,46 @@ class TestSimulate:
         cfg = write_config(tmp_path, dict(MIRROR_CONFIG, **{section: value}))
         assert run(["simulate", "--config", cfg]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [{"start": 0, "stop": 1e308, "step": 1e-308}, {"start": 0, "stop": 180, "step": 1e-9}],
+        ids=["ratio-overflows", "ratio-huge"],
+    )
+    def test_sweep_beyond_point_limit_exits_2(self, tmp_path, capsys, sweep):
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, plan=dict(MIRROR_CONFIG["plan"], sweep=sweep)))
+        assert run(["simulate", "--config", cfg]) == 2
+        assert "config error: plan.sweep.step:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit, code", [(13, 0), (12, 2)])
+    def test_sweep_point_limit_is_inclusive(self, tmp_path, monkeypatch, limit, code):
+        monkeypatch.setattr(qellip.cli, "MAX_SWEEP_POINTS", limit)
+        cfg = write_config(tmp_path, MIRROR_CONFIG)  # 0:180:15, 13 points
+        assert run(["fringe", "--config", cfg, "--out", str(tmp_path / "fringe.csv")]) == code
+
+    def test_2000_row_sweep_and_fit_report_digests(self, tmp_path):
+        # A film on silicon at the benchmark's detector, 2 000 rows and a seed
+        # above 2**63; both digests were taken from the per-record draw loop.
+        config = {
+            "sample": {"type": "stack", "wavelength_nm": 632.8, "angle_deg": 70.0, "n_ambient": 1.0,
+                       "layers": [{"n_re": 1.457, "n_im": 0.0, "d_nm": 100.0}],
+                       "substrate": {"n_re": 3.882, "n_im": 0.019}},
+            "detector": {"eta1": 0.2, "eta2": 0.3, "accidental_per_s": 5.0, "visibility": 0.97},
+            "scale": {"pairs_per_s": 1e5},
+            "plan": {"theta2_deg": 45.0, "sweep": {"start": 0, "stop": 179.91, "step": 0.09},
+                     "dwell_s": 1.0},
+            "seed": 2**63 + 5,
+        }
+        cfg = write_config(tmp_path, config)
+        counts, report = tmp_path / "counts.csv", tmp_path / "report.json"
+        assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+        assert run(["estimate", str(counts), "--method", "fit", "--eta1", "0.2", "--eta2", "0.3",
+                    "--accidental-per-s", "5", "--visibility", "0.97", "--out", str(report)]) == 0
+        assert counts.read_text().count("\n") == 1 + 2000
+        assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
+            "1b27cb8a789c7de82db45188361e9e62161e1c6f3e5a7a6239fef59ae7d03d7f")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "03e5700df4e87a480f5a3a825aba79ec75c9204a4cfd7c1eb5d1db7373bc7d9d")
 
     def test_zero_sweep_step_exits_2(self, tmp_path):
         bad = dict(
@@ -238,6 +280,52 @@ class TestEstimate:
             "theta1_deg,theta2_deg,dwell_s,counts\n0.0,45.0,1.0,notanumber\n"
         )
         assert run(["estimate", str(path), "--method", "fit"]) == 3
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            "30.0,45.0,130",
+            "30.0,45.0,1.0,130,1",
+            "30.0,45.0,1.0,3.0",
+            "30.0,45.0,1.0,-1",
+            "30.0,45.0,1.0,x",
+            "30.0,45.0,nan,130",
+            "30.0,45.0,inf,130",
+            "30.0,45.0,0,130",
+        ],
+        ids=["3-fields", "5-fields", "counts-3.0", "counts-minus-1", "counts-x",
+             "dwell-nan", "dwell-inf", "dwell-0"],
+    )
+    def test_bad_row_exits_3_naming_its_line(self, tmp_path, capsys, bad_row):
+        # line 1 header, 2 good, 3 and 4 blank, 5 bad
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "theta1_deg,theta2_deg,dwell_s,counts\n0.0,45.0,1.0,100\n\n  \n"
+            + bad_row + "\n45.0,45.0,1.0,145\n90.0,45.0,1.0,190\n"
+        )
+        assert run(["estimate", str(path), "--method", "fit"]) == 3
+        assert "data error: line 5:" in capsys.readouterr().err
+
+    def test_blank_lines_skipped(self, tmp_path):
+        cfg = write_config(tmp_path, MIRROR_CONFIG)
+        counts = tmp_path / "counts.csv"
+        run(["simulate", "--config", cfg, "--out", str(counts)])
+        lines = counts.read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n".join(lines[:5] + ["", " \t"] + lines[5:] + ["", ""]) + "\n")
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run(["estimate", str(counts), "--method", "fit", "--out", str(out1)]) == 0
+        assert run(["estimate", str(spaced), "--method", "fit", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_counts_beyond_int64_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "theta1_deg,theta2_deg,dwell_s,counts\n"
+            + "".join(f"{t},45.0,1.0,{k}\n" for t, k in ((0, 100), (45, 2**63), (90, 100), (135, 100)))
+        )
+        assert run(["estimate", str(path), "--method", "fit"]) == 3
+        assert "line 3: counts must be below 2**63" in capsys.readouterr().err
 
     def test_all_zero_counts_exits_4(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"
@@ -393,6 +481,14 @@ class TestConfigSamples:
         cfg = write_config(tmp_path, config)
         out = tmp_path / "counts.csv"
         assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("kind", ["stack", "interface"])
+    def test_zero_substrate_index_exits_2(self, tmp_path, capsys, kind):
+        sample = {"type": kind, "wavelength_nm": 633.0, "angle_deg": 70.0, "n_ambient": 1.0,
+                  "substrate": {"n_re": 0.0, "n_im": 0.0}}
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, sample=sample))
+        assert run(["simulate", "--config", cfg]) == 2
+        assert "substrate index must be finite and non-zero" in capsys.readouterr().err
 
     def test_unknown_sample_type_exits_2(self, tmp_path, capsys):
         config = dict(MIRROR_CONFIG, sample={"type": "hologram"})

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from qellip import (
     RATE_PROJECTION_FACTOR,
     AcquisitionPlan,
+    CountRecord,
+    CountTable,
     DetectorModel,
     ExperimentScale,
     SampleParams,
@@ -19,6 +21,7 @@ from qellip import (
     simulate_counts,
     visibility,
 )
+from qellip.experiment import record_columns
 
 I2 = np.eye(2)
 MIRROR = SampleParams.mirror()
@@ -192,6 +195,34 @@ class TestSimulateCounts:
         assert 97.0 < counts.mean() < 103.0
         assert 85.0 < counts.var() < 115.0
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1])
+    def test_draws_match_a_new_philox_per_record(self, seed):
+        # The reference is the draw contract written out: record i draws from
+        # a new Generator(Philox(key=[seed, i])), and a record of mean 0 draws
+        # nothing.  With the analyzers at (0, 90 deg) the mean is
+        # pair_rate * dwell; at (0, 0) it is exactly 0.
+        rng = np.random.default_rng(1)
+        dwell = np.concatenate([
+            np.geomspace(1e-3, 9.9, 80),  # Poisson by inversion
+            np.geomspace(11.0, 1e9, 80),  # Poisson by PTRS
+            np.ones(20),
+        ])
+        theta2 = np.where(np.arange(dwell.size) < 160, math.pi / 2, 0.0)
+        order = rng.permutation(dwell.size)
+        plan = AcquisitionPlan(np.column_stack((np.zeros(dwell.size), theta2[order], dwell[order])))
+        means = expected_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR)
+        assert np.sum(means == 0) == 20 and np.sum((means > 0) & (means < 10)) == 80
+        assert np.max(means) == pytest.approx(1e9)
+
+        want = [
+            0 if mean == 0 else
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).poisson(mean)
+            for i, mean in enumerate(means)
+        ]
+        got = simulate_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR, seed=seed)
+        assert got.counts.dtype == np.int64
+        np.testing.assert_array_equal(got.counts, want)
+
     def test_bad_seed_rejected(self):
         plan = AcquisitionPlan(((0.0, math.pi / 4, 1.0),))
         with pytest.raises(ValueError):
@@ -241,3 +272,70 @@ def test_plan_validation():
         AcquisitionPlan(())
     with pytest.raises(ValueError):
         AcquisitionPlan(((0.0, 0.0, 0.0),))
+    with pytest.raises(ValueError, match="finite"):
+        AcquisitionPlan(((0.0, math.nan, 1.0),))
+    with pytest.raises(ValueError, match="triples"):
+        AcquisitionPlan(((0.0, 1.0),))
+
+
+def test_plan_columns_and_settings_view():
+    plan = AcquisitionPlan(((0.1, 0.2, 1.0), (0.3, 0.4, 2)))
+    assert len(plan) == 2
+    assert AcquisitionPlan(iter(plan.settings)).settings == plan.settings
+    np.testing.assert_array_equal(plan.duration, [1.0, 2.0])
+    assert plan.settings == ((0.1, 0.2, 1.0), (0.3, 0.4, 2.0))
+    with pytest.raises(ValueError):
+        plan.theta1[0] = 1.0
+    with pytest.raises(AttributeError):
+        plan.theta1 = np.zeros(2)
+
+
+class TestCountTable:
+    ROWS = ((0.1, 0.2, 1.0, 5), (0.3, 0.4, 2.0, 0), (0.5, 0.6, 0.5, 7))
+
+    def table(self):
+        return CountTable(*zip(*self.ROWS))
+
+    def test_sequence_of_records(self):
+        table = self.table()
+        records = [CountRecord(*row) for row in self.ROWS]
+        assert len(table) == 3
+        assert table[0] == records[0] and table[-1] == records[-1]
+        assert list(table) == records
+        assert isinstance(table[1].counts, int)
+        with pytest.raises(IndexError):
+            table[3]
+
+    def test_index_arrays_and_slices_give_tables(self):
+        table = self.table()
+        assert list(table[np.array([2, 0])]) == [table[2], table[0]]
+        assert table[1:] == CountTable(*zip(*self.ROWS[1:]))
+
+    def test_equality_compares_every_column(self):
+        assert self.table() == self.table()
+        other = CountTable(*zip(*(self.ROWS[:2] + ((0.5, 0.6, 0.5, 8),))))
+        assert self.table() != other
+
+    def test_columns_are_read_only(self):
+        table = self.table()
+        assert table.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            table.counts[0] = 1
+        with pytest.raises(AttributeError):
+            table.counts = np.zeros(3)
+
+    def test_record_columns_same_from_table_and_records(self):
+        table = self.table()
+        for a, b in zip(record_columns(table), record_columns(list(table))):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(0, math.nan), (1, math.inf), (2, 0.0), (2, -1.0), (3, -1), (3, 2.5), (3, 2**63)],
+    )
+    def test_invalid_rows_rejected(self, column, value):
+        rows = [list(row) for row in self.ROWS]
+        rows[1][column] = value
+        with pytest.raises(ValueError):
+            CountTable(*zip(*rows))

@@ -161,6 +161,15 @@ class TestFilmStack:
             FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=1.0,
                       layers=((1.5, thickness),), n_substrate=1.5)
 
+    @pytest.mark.parametrize("n_substrate", [math.nan, complex(1.5, math.inf), 0.0, 0j])
+    def test_bad_substrate_index_rejected(self, n_substrate):
+        # the admittances divide by it: NaN and 0 warned in the Airy sum
+        with pytest.raises(ValueError, match="substrate index must be finite and non-zero"):
+            FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=1.0,
+                      layers=((1.5, 100e-9),), n_substrate=n_substrate)
+        with pytest.raises(ValueError, match="substrate index must be finite and non-zero"):
+            fresnel_interface(1.0, n_substrate, 0.5)
+
 
 class TestPsiDeltaFromCoeffs:
     def test_mirror_like_equality(self):
