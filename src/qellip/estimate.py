@@ -25,14 +25,13 @@ alone, so estimates report delta_mag_hat in [0, pi].
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .experiment import DetectorModel, analyzer_terms, rate_shape, record_columns
 
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
 ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angle setting
 _THREE_ANGLE_TERMS = analyzer_terms(np.radians([0.0, 45.0, 90.0]), np.pi / 4)
-_MAX_ITERATIONS = 500  # Newton steps before the fit gives up
+_MAX_ITERATIONS = 500  # trial Newton steps before the fit gives up
 _DECREMENT_TOL = 1e-6  # g^T H^+ g at an accepted optimum: within 1e-3 sigma of it
 
 
@@ -248,6 +247,43 @@ def _fisher_covariance(u, hess) -> np.ndarray:
     return _psd_covariance(np.outer(jac, jac) * np.linalg.pinv(hess))
 
 
+def _damped_newton(u, terms, dur, k, det: DetectorModel):
+    """Damped Newton steps on the exact Hessian from u; returns the last
+    accepted u and why the steps stopped.
+
+    A trial step is -V diag(1 / (|w| + lam)) V^T g over the eigenpairs
+    (w, V) of the Hessian: |w| keeps it a descent direction where the
+    Hessian is indefinite, and the Levenberg damping lam grows while trial
+    steps fail to lower the NLL (a non-finite one never does) and shrinks
+    once one does.  The steps end where the quadratic model predicts a fall
+    too small to change the NLL (f + pred >= f), at a non-finite Hessian,
+    or after _MAX_ITERATIONS trial steps; the caller judges the point by
+    its Newton decrement.
+    """
+    f, g = _nll_and_grad(u, terms, dur, k, det)
+    lam, w = 0.0, None
+    for _ in range(_MAX_ITERATIONS):
+        if w is None:
+            hess = _nll_hessian(u, terms, dur, k, det)
+            if not np.isfinite(hess).all():
+                return u, "non-finite Hessian"
+            w, v = np.linalg.eigh(hess)
+        gv = v.T @ g
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = gv / (np.abs(w) + lam)
+            pred = step @ (0.5 * w * step - gv)  # g.p + p.H.p / 2 at p = -V step
+            trial = u - v @ step
+        if f + pred >= f:
+            return u, "the predicted fall in the NLL is below its rounding"
+        f_trial, g_trial = _nll_and_grad(trial, terms, dur, k, det)
+        if f_trial < f:
+            u, f, g, w = trial, f_trial, g_trial, None
+            lam *= 0.25
+        else:
+            lam = max(4.0 * lam, 1e-3 * np.abs(w).max())
+    return u, f"no convergence in {_MAX_ITERATIONS} steps"
+
+
 def least_squares_fit(
     records,
     det: DetectorModel,
@@ -259,8 +295,8 @@ def least_squares_fit(
     V cos(delta), so it cannot be fitted alongside delta.
 
     Seeded from the linear model of the counts (or from `init`), stepped
-    by trust-region Newton on the exact Hessian, and accepted when the
-    Newton decrement g^T H^+ g is at most _DECREMENT_TOL.  The covariance
+    by _damped_newton on the exact Hessian, and accepted when the Newton
+    decrement g^T H^+ g is at most _DECREMENT_TOL.  The covariance
     is the inverse observed Fisher information over (C, psi, delta).
     Raises FitError (carrying the best iterate) on non-convergence or when
     psi runs to 0 or 90 deg, where one polarization adds under one
@@ -274,36 +310,27 @@ def least_squares_fit(
         beta0 = max(init.beta_hat, 1e-6)
         u0 = np.array([np.log(max(init.C_hat, 1e-12)), np.log(beta0), init.delta_mag_hat])
 
-    res = minimize(
-        _nll_and_grad,
-        u0,
-        args=(terms, dur, k, det),
-        jac=True,
-        hess=_nll_hessian,
-        method="trust-exact",
-        # No gradient stop: the steps end where the model predicts a fall in
-        # the NLL too small to resolve, and the decrement test below judges.
-        options={"maxiter": _MAX_ITERATIONS, "gtol": 0.0},
-    )
+    u, stop = _damped_newton(u0, terms, dur, k, det)
 
-    c_hat = float(np.exp(res.x[0]))
-    beta = float(np.exp(res.x[1]))
-    delta = float(np.arccos(np.clip(np.cos(res.x[2]), -1.0, 1.0)))
+    c_hat = float(np.exp(u[0]))
+    beta = float(np.exp(u[1]))
+    delta = float(np.arccos(np.clip(np.cos(u[2]), -1.0, 1.0)))
     psi = float(np.arctan(beta * beta))
 
-    u = np.array([res.x[0], res.x[1], delta])
+    u = np.array([u[0], u[1], delta])
     _, grad = _nll_and_grad(u, terms, dur, k, det)
     hess = _nll_hessian(u, terms, dur, k, det)
+    finite = np.isfinite(hess).all()
     estimate = EllipsometricEstimate(
         C_hat=c_hat,
         psi_hat=psi,
         delta_mag_hat=delta,
-        covariance=_fisher_covariance(u, hess),
+        covariance=_fisher_covariance(u, hess) if finite else np.full((3, 3), np.nan),
         method="least_squares",
     )
     # abs: where the Hessian is indefinite the decrement can be negative
-    if not abs(grad @ np.linalg.pinv(hess) @ grad) <= _DECREMENT_TOL:
-        raise FitError(f"fit did not converge: {res.message}", estimate=estimate)
+    if not (finite and abs(grad @ np.linalg.pinv(hess) @ grad) <= _DECREMENT_TOL):
+        raise FitError(f"fit did not converge: {stop}", estimate=estimate)
     a, bb, _ = terms
     if not (min(beta * beta * np.dot(a, dur), np.dot(bb, dur)) * c_hat >= 1.0):
         msg = f"psi ran to {np.degrees(psi):.6g} deg: one polarization adds under one expected count"

@@ -98,21 +98,19 @@ class FilmStack:
             raise ValueError("incidence_angle must lie in [0, pi/2)")
         if not (np.isfinite(self.n_ambient) and self.n_ambient > 0):
             raise ValueError("n_ambient must be positive")
-        layers = tuple((complex(n), float(d)) for n, d in self.layers)
-        for n, d in layers:
+        layers = tuple((_index(n, "layer indices"), float(d)) for n, d in self.layers)
+        for _, d in layers:
             if not (np.isfinite(d) and d >= 0):
                 raise ValueError("layer thicknesses must be finite and >= 0")
-            if not (np.isfinite(n.real) and np.isfinite(n.imag)):
-                raise ValueError("layer indices must be finite")
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "n_substrate", _substrate_index(self.n_substrate))
+        object.__setattr__(self, "n_substrate", _index(self.n_substrate, "substrate index"))
 
 
-def _substrate_index(n) -> complex:
-    """The substrate index as a complex; the stack's admittances divide by it."""
+def _index(n, name: str) -> complex:
+    """A layer or substrate index as a complex; the stack's admittances divide by it."""
     n = complex(n)
     if not (np.isfinite(n.real) and np.isfinite(n.imag)) or n == 0:
-        raise ValueError("substrate index must be finite and non-zero")
+        raise ValueError(f"{name} must be finite and non-zero")
     return n
 
 
@@ -149,30 +147,40 @@ def _cos_transmitted(n: complex, sin_inc: float) -> complex:
 def _stack_coefficients(
     n_ambient: float, angle: float, layers, n_substrate: complex, wavelength: float
 ) -> ReflectionPair:
-    """Characteristic-matrix reflection coefficients of a multilayer."""
+    """Characteristic-matrix reflection coefficients of a multilayer.
+
+    Raises ValueError where a step overflows, divides by zero or gives NaN
+    (an index so small that (sin / n)^2 overflows, an absorbing or
+    evanescent layer thick enough that cos(phase) overflows), where numpy
+    would only warn and carry inf or NaN on.
+    """
     sin_inc = n_ambient * np.sin(angle)
     cos_inc = np.cos(angle)
     n_sub = _canonical_index(n_substrate)
     layers = [(_canonical_index(n), d) for n, d in layers]
-    cos_sub = _cos_transmitted(n_sub, sin_inc)
 
     out = {}
-    for pol in ("s", "p"):
-        if pol == "s":
-            eta0 = n_ambient * cos_inc
-            eta_sub = n_sub * cos_sub
-        else:
-            eta0 = n_ambient / cos_inc
-            eta_sub = n_sub / cos_sub
-        m = np.eye(2, dtype=complex)
-        for n, d in layers:
-            ct = _cos_transmitted(n, sin_inc)
-            phase = _TWO_PI * n * d * ct / wavelength
-            eta = n * ct if pol == "s" else n / ct
-            c, s = np.cos(phase), np.sin(phase)
-            m = m @ np.array([[c, -1j * s / eta], [-1j * eta * s, c]])
-        b, cc = m @ np.array([1.0, eta_sub])
-        out[pol] = (eta0 * b - cc) / (eta0 * b + cc)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cos_sub = _cos_transmitted(n_sub, sin_inc)
+            for pol in ("s", "p"):
+                if pol == "s":
+                    eta0 = n_ambient * cos_inc
+                    eta_sub = n_sub * cos_sub
+                else:
+                    eta0 = n_ambient / cos_inc
+                    eta_sub = n_sub / cos_sub
+                m = np.eye(2, dtype=complex)
+                for n, d in layers:
+                    ct = _cos_transmitted(n, sin_inc)
+                    phase = _TWO_PI * n * d * ct / wavelength
+                    eta = n * ct if pol == "s" else n / ct
+                    c, s = np.cos(phase), np.sin(phase)
+                    m = m @ np.array([[c, -1j * s / eta], [-1j * eta * s, c]])
+                b, cc = m @ np.array([1.0, eta_sub])
+                out[pol] = (eta0 * b - cc) / (eta0 * b + cc)
+    except FloatingPointError as exc:
+        raise ValueError(f"stack reflectance is not representable: {exc}") from exc
     # Admittance form gives r_p and r_s the same sign at normal incidence;
     # flip p to the opposite-sign convention documented above.
     return ReflectionPair(r_p=-out["p"], r_s=out["s"])
@@ -184,7 +192,7 @@ def fresnel_interface(n_ambient: float, n_substrate: complex, angle: float) -> R
         raise ValueError("n_ambient must be positive")
     if not (0.0 <= angle < np.pi / 2):
         raise ValueError("incidence angle must lie in [0, pi/2); grazing rejected")
-    return _stack_coefficients(n_ambient, angle, (), _substrate_index(n_substrate), 1.0)
+    return _stack_coefficients(n_ambient, angle, (), _index(n_substrate, "substrate index"), 1.0)
 
 
 def film_stack_reflectance(stack: FilmStack) -> ReflectionPair:

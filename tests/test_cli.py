@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qellip.cli
+import qellip.estimate
 from qellip import __version__
 from qellip.cli import main
 
@@ -146,7 +151,7 @@ class TestSimulate:
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "1b27cb8a789c7de82db45188361e9e62161e1c6f3e5a7a6239fef59ae7d03d7f")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "03e5700df4e87a480f5a3a825aba79ec75c9204a4cfd7c1eb5d1db7373bc7d9d")
+            "837239992ae32ee757792205eb23aa6f292615285367af130e2e9a9d549735fd")
 
     def test_zero_sweep_step_exits_2(self, tmp_path):
         bad = dict(
@@ -410,6 +415,36 @@ class TestEstimate:
         assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
 
+    def test_fit_never_loads_scipy(self, tmp_path):
+        # In a fresh interpreter: anything else in this process may have imported scipy.
+        code = (
+            "import sys; import qellip, qellip.cli; "
+            "rc = qellip.cli.main(['estimate', sys.argv[1], '--method', 'fit', '--out', sys.argv[2]]); "
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        src = str(Path(qellip.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        csv, out = str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), str(tmp_path / "report.json")
+        proc = subprocess.run([sys.executable, "-c", code, csv, out], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "[]"]
+
+    def test_non_finite_hessian_exits_4_with_best_iterate(self, tmp_path, monkeypatch):
+        real, calls = qellip.estimate._nll_hessian, []
+
+        def poisoned(*args):
+            calls.append(None)
+            return real(*args) if len(calls) == 1 else np.full((3, 3), np.nan)
+
+        monkeypatch.setattr(qellip.estimate, "_nll_hessian", poisoned)
+        out = tmp_path / "report.json"
+        csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
+        assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert math.isfinite(report["psi_deg"]) and math.isfinite(report["C_hat"])
+        assert report["warnings"] == ["fit did not converge: non-finite Hessian"]
+
     @pytest.mark.parametrize("method", ["fit", "three-angle"])
     @pytest.mark.parametrize("field", ["theta1", "theta2", "duration"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -489,6 +524,16 @@ class TestConfigSamples:
         cfg = write_config(tmp_path, dict(MIRROR_CONFIG, sample=sample))
         assert run(["simulate", "--config", cfg]) == 2
         assert "substrate index must be finite and non-zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_re, message", [(0.0, "layer indices must be finite and non-zero"),
+                                               (1e-300, "stack reflectance is not representable")])
+    def test_degenerate_layer_index_exits_2(self, tmp_path, capsys, n_re, message):
+        sample = {"type": "stack", "wavelength_nm": 633.0, "angle_deg": 70.0, "n_ambient": 1.0,
+                  "layers": [{"n_re": n_re, "n_im": 0.0, "d_nm": 100.0}],
+                  "substrate": {"n_re": 1.5, "n_im": 0.0}}
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, sample=sample))
+        assert run(["simulate", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_sample_type_exits_2(self, tmp_path, capsys):
         config = dict(MIRROR_CONFIG, sample={"type": "hologram"})

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from qellip import (
     AcquisitionPlan,
@@ -10,11 +9,14 @@ from qellip import (
     DetectorModel,
     EllipsometricEstimate,
     ExperimentScale,
+    FilmStack,
     FitError,
     SampleParams,
     coincidence_rate,
     expected_counts,
+    film_stack_reflectance,
     least_squares_fit,
+    psi_delta_from_coeffs,
     simulate_counts,
     subtract_accidentals,
     three_angle_from_counts,
@@ -294,16 +296,36 @@ class TestLeastSquaresFit:
         stop = np.array([math.log(best.C_hat), math.log(best.beta_hat), best.delta_mag_hat])
         stop[2] += shift_sigma * math.sqrt(best.covariance[2, 2])
 
-        def stopped(fun, x0, args, **kwargs):
-            return OptimizeResult(x=stop, message="stopped", success=True)
+        def stopped(u, terms, dur, k, det):
+            return stop, "stopped"
 
-        monkeypatch.setattr(qellip.estimate, "minimize", stopped)
+        monkeypatch.setattr(qellip.estimate, "_damped_newton", stopped)
         if converged:
             assert least_squares_fit(recs, DET).delta_mag_hat == stop[2]
         else:
             with pytest.raises(FitError, match="did not converge") as excinfo:
                 least_squares_fit(recs, DET)
             assert excinfo.value.estimate.delta_mag_hat == stop[2]
+
+    def test_non_finite_hessian_fails_with_best_iterate(self, monkeypatch):
+        # NaN from the second Hessian on, i.e. after the first accepted step
+        real, calls = _nll_hessian, []
+
+        def poisoned(*args):
+            calls.append(None)
+            return real(*args) if len(calls) == 1 else np.full((3, 3), np.nan)
+
+        monkeypatch.setattr(qellip.estimate, "_nll_hessian", poisoned)
+        truth = SampleParams.from_beta_delta(1.5, 1.0)
+        plan = AcquisitionPlan(
+            tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
+        )
+        recs = simulate_counts(plan, ExperimentScale(1e4), DET, truth, seed=9)
+        with pytest.raises(FitError, match="did not converge: non-finite Hessian") as excinfo:
+            least_squares_fit(recs, DET)
+        est = excinfo.value.estimate
+        assert np.isfinite([est.C_hat, est.psi_hat, est.delta_mag_hat]).all()
+        assert np.isnan(est.covariance).all()
 
     def test_all_zero_counts_cannot_seed(self):
         recs = [CountRecord(math.radians(t), THETA2, 1.0, 0) for t in range(0, 180, 15)]
@@ -424,6 +446,67 @@ class TestLeastSquaresFit:
             normalized.append(rmse * math.sqrt(total))
         ratio = max(normalized) / min(normalized)
         assert ratio < 1.5
+
+
+def _film(film_nm):
+    """(psi, delta) of an SiO2 film on Si at 70 deg, 632.8 nm."""
+    stack = FilmStack(wavelength=632.8e-9, incidence_angle=math.radians(70.0), n_ambient=1.0,
+                      layers=((1.457, film_nm * 1e-9),), n_substrate=3.882 + 0.019j)
+    return psi_delta_from_coeffs(film_stack_reflectance(stack))
+
+
+def _degrees(psi_deg, delta_deg):
+    return SampleParams(math.radians(psi_deg), math.radians(delta_deg))
+
+
+FILM_PLAN = tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
+FILM_DET = DetectorModel(0.2, 0.3, 5.0, 0.97)
+
+
+class TestAgreementWith020:
+    """The fit agrees with release 0.2.0 (scipy's trust-exact on the same
+    NLL, gradient and Hessian) on fixed plans: estimates within 1e-3 sigma,
+    NLL at the optimum at most 1e-9 above."""
+
+    # name: (plan, pairs/s, detector, sample, seed)
+    CASES = {
+        "film-284nm-delta-180": (FILM_PLAN, 1e5, FILM_DET, lambda: _film(284.0), 1),
+        "delta-near-0": (FILM_PLAN, 1e5, FILM_DET, lambda: _degrees(30.0, 2.0), 2),
+        "film-150nm": (FILM_PLAN, 1e5, FILM_DET, lambda: _film(150.0), 3),
+        "low-count": (
+            tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 30)),
+            40.0, DET, lambda: _degrees(40.0, 70.0), 4,
+        ),
+        "two-theta2": (
+            tuple((math.radians(t), math.radians(t2), 10.0) for t2 in (45, 20) for t in range(0, 180, 15)),
+            1e4, DetectorModel(accidental_rate=50.0, visibility=0.9), lambda: _degrees(37.0, 30.0), 5,
+        ),
+        "mixed-dwell": (
+            tuple((math.radians(6 * j), math.radians(45 - j), (0.1, 1.0, 10.0)[j % 3]) for j in range(30)),
+            1e4, DetectorModel(accidental_rate=5.0, visibility=0.95), lambda: _degrees(80.0, 120.0), 6,
+        ),
+    }
+    # name: (C, psi, |delta|, NLL at the optimum) from qellip 0.2.0
+    RELEASE_020 = {
+        "film-284nm-delta-180": (6105.1799661355135, 0.034626689176606724, 2.9400576376269543, 3.5224888230195126),
+        "delta-near-0": (5996.695780383889, 0.5222641624831077, 0.0, 1.5102021225952766),
+        "film-150nm": (5957.922362420371, 1.5056533405143306, 1.645682964867605, 8.198295588681162),
+        "low-count": (37.603032188190184, 0.8680622299907824, 0.9315782004757585, 0.18348160614680156),
+        "two-theta2": (10004.533831611394, 0.6463923858290683, 0.5177542293279064, 11.807265562327238),
+        "mixed-dwell": (10021.243180132791, 1.3958669455838633, 2.0974961326930033, 8.0818758359261),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_release_020(self, name):
+        plan, pairs_per_s, det, sample, seed = self.CASES[name]
+        recs = simulate_counts(AcquisitionPlan(plan), ExperimentScale(pairs_per_s), det, sample(), seed)
+        est = least_squares_fit(recs, det)
+        *x_020, nll_020 = self.RELEASE_020[name]
+        x = [est.C_hat, est.psi_hat, est.delta_mag_hat]
+        sigma = np.sqrt(np.diag(est.covariance))
+        assert np.all(np.abs(np.subtract(x, x_020)) <= 1e-3 * sigma)
+        nll, _ = fit_negative_log_likelihood([math.log(x[0]), math.log(est.beta_hat), x[2]], recs, det)
+        assert nll <= nll_020 + 1e-9
 
 
 class TestCalibration:

@@ -170,6 +170,24 @@ class TestFilmStack:
         with pytest.raises(ValueError, match="substrate index must be finite and non-zero"):
             fresnel_interface(1.0, n_substrate, 0.5)
 
+    @pytest.mark.parametrize("n_layer", [math.nan, complex(1.5, math.inf), 0.0, 0j])
+    def test_bad_layer_index_rejected(self, n_layer):
+        # 0 warned "invalid value" at normal incidence, "divide by zero" at 1.2 rad
+        with pytest.raises(ValueError, match="layer indices must be finite and non-zero"):
+            FilmStack(wavelength=633e-9, incidence_angle=1.2, n_ambient=1.0,
+                      layers=((n_layer, 100e-9),), n_substrate=1.5)
+
+    @pytest.mark.parametrize("layers, n_substrate", [(((1e-300, 100e-9),), 1.5), ((), 1e-300),
+                                                     (((1.5 + 0.1j, 1e-2),), 1.5)],
+                             ids=["tiny-layer-index", "tiny-substrate-index", "thick-absorbing-layer"])
+    def test_overflow_in_the_stack_is_rejected(self, layers, n_substrate):
+        # (sin / n)^2 overflowed, and cos of a 1 cm absorbing layer's phase:
+        # numpy warned and the Airy sum carried inf
+        stack = FilmStack(wavelength=633e-9, incidence_angle=1.2, n_ambient=1.0,
+                          layers=layers, n_substrate=n_substrate)
+        with pytest.raises(ValueError, match="stack reflectance is not representable: overflow"):
+            film_stack_reflectance(stack)
+
 
 class TestPsiDeltaFromCoeffs:
     def test_mirror_like_equality(self):
