@@ -7,7 +7,7 @@ calibration.  A minimal classical intensity-ratio ellipsometer is
 included as a comparison baseline.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .polarization import (
     BASIS,

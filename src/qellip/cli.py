@@ -224,9 +224,10 @@ def _write_text(text: str, out_path):
 
 
 def _round9(obj):
-    """Round all floats to 9 significant digits for stable serialization."""
+    """Round all floats to 9 significant digits for stable serialization;
+    a non-finite float becomes None (JSON null): NaN is not JSON."""
     if isinstance(obj, float):
-        return float(f"{obj:.9g}")
+        return float(f"{obj:.9g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -235,7 +236,7 @@ def _round9(obj):
 
 
 def _write_json(report: dict, out_path):
-    _write_text(json.dumps(_round9(report), indent=2) + "\n", out_path)
+    _write_text(json.dumps(_round9(report), indent=2, allow_nan=False) + "\n", out_path)
 
 
 def counts_csv(records) -> str:

@@ -22,6 +22,7 @@ Only |delta| is identifiable: the rate depends on delta through cos(delta)
 alone, so estimates report delta_mag_hat in [0, pi].
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ from .experiment import DetectorModel, analyzer_terms, rate_shape, record_column
 
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
 ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angle setting
-_THREE_ANGLE_TERMS = analyzer_terms(np.radians([0.0, 45.0, 90.0]), np.pi / 4)
+_THREE_ANGLE_TERMS = np.array(analyzer_terms(np.radians([0.0, 45.0, 90.0]), np.pi / 4))
+_UNIT_DETECTOR = DetectorModel()  # three_angle_invert's rates: no accidentals, visibility 1
 _MAX_ITERATIONS = 500  # trial Newton steps before the fit gives up
 _DECREMENT_TOL = 1e-6  # g^T H^+ g at an accepted optimum: within 1e-3 sigma of it
 
@@ -72,8 +74,8 @@ def _psd_covariance(cov: np.ndarray) -> np.ndarray:
     """Symmetrize and clip tiny negative eigenvalues from numerical noise."""
     cov = 0.5 * (cov + cov.T)
     w, v = np.linalg.eigh(cov)
-    w = np.clip(w, 0.0, None)
-    return 0.5 * ((v * w) @ v.T + ((v * w) @ v.T).T)
+    psd = (v * np.maximum(w, 0.0)) @ v.T
+    return 0.5 * (psd + psd.T)
 
 
 def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
@@ -99,23 +101,18 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
     warnings = ()
     if abs(cos_d) > 1.0 + _COS_OVERSHOOT:
         warnings = ("inconsistent rates",)
-    delta = float(np.arccos(np.clip(cos_d, -1.0, 1.0)))
+    delta = float(np.arccos(min(max(cos_d, -1.0), 1.0)))
     u = np.array([np.log(2.0 * rate_90), 0.5 * np.log(x), delta])
-    hess = _nll_hessian(u, _THREE_ANGLE_TERMS, dur, k, det)
-    cov = _fisher_covariance(u, hess)
+    with np.errstate(all="ignore"):
+        hess = _nll_derivatives(u, _THREE_ANGLE_TERMS, dur, k, det)[2]
+    cov = _fisher_covariance(u, np.linalg.pinv(hess))
     if not cov[2, 2] * hess[2, 2] >= 0.5:
         # Were the delta direction kept, var * information would be >= 1.
         # pinv drops it where delta carries no information (|cos delta| = 1,
         # or within rounding of it): report the widest spread on [0, pi].
         cov[2, 2] = np.pi**2 / 4
-    return EllipsometricEstimate(
-        C_hat=float(2.0 * rate_90),
-        psi_hat=float(np.arctan(x)),
-        delta_mag_hat=delta,
-        covariance=cov,
-        method="three_angle",
-        warnings=warnings,
-    )
+    return EllipsometricEstimate(C_hat=float(2.0 * rate_90), psi_hat=float(np.arctan(x)), delta_mag_hat=delta,
+                                 covariance=cov, method="three_angle", warnings=warnings)
 
 
 def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> EllipsometricEstimate:
@@ -128,7 +125,7 @@ def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> Ellipso
     """
     if rate_45 < 0:
         raise ValueError("eigenpolarization null: three-angle inversion undefined")
-    return _three_angle(np.array([rate_0, rate_45, rate_90], dtype=float), 1.0, DetectorModel())
+    return _three_angle(np.array([rate_0, rate_45, rate_90], dtype=float), 1.0, _UNIT_DETECTOR)
 
 
 def three_angle_from_counts(records, det: DetectorModel) -> EllipsometricEstimate:
@@ -173,30 +170,53 @@ def fit_negative_log_likelihood(u, records, det: DetectorModel):
     the counts, and a change of 1e-6 in it is not lost to rounding.
     """
     t1, t2, dur, k = record_columns(records)
-    return _nll_and_grad(np.asarray(u, dtype=float), analyzer_terms(t1, t2), dur, k, det)
+    terms = np.array(analyzer_terms(t1, t2))
+    with np.errstate(all="ignore"):
+        nll, grad, _ = _nll_derivatives(np.asarray(u, dtype=float), terms, dur, k, det)
+    return nll, grad
 
 
-def _nll_and_grad(u, terms, dur, k, det: DetectorModel):
-    log_c, log_b, delta = u[0], u[1], u[2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.exp(log_c)
-        b = np.exp(log_b)
-        shape, ds_db, ds_dd = rate_shape(terms, b, delta, det.visibility, order=1)
-        mu = (c * shape + det.accidental_rate) * dur
-        mu_safe = np.maximum(mu, 1e-300)
+def _nll_derivatives(u, terms, dur, k, det: DetectorModel):
+    """NLL, gradient and exact Hessian in u = (log C, log beta, delta), from
+    one pass over the records.
 
-        nll = float(np.sum(mu - k - k * np.log(mu_safe / np.maximum(k, 1))))
-        w = 1.0 - k / mu_safe  # d nll / d mu
-        grad = np.array(
-            [
-                np.sum(w * (c * shape * dur)),
-                np.sum(w * (c * b * ds_db * dur)),
-                np.sum(w * (c * ds_dd * dur)),
-            ]
-        )
-    if not np.isfinite(nll):
+    `terms` is the (3, n) array T of `analyzer_terms`; mu = (C s + A) t with
+    s = rate_shape.  The rows g = (s, b ds/db, ds/ddelta) = M T are linear in
+    T, and so are the second derivatives b d(b ds/db)/db = g_1 + 2 b^2 a,
+    b d2s/db ddelta = g_2 and d2s/ddelta2 = -2 V b cos(delta) cross.  With the
+    weights w = (1 - k/mu) C t and q = k (C t / mu)^2, grad = M (T w) and
+    hess = (g q) g^T plus those second derivatives summed against w.
+
+    A non-finite NLL comes back as 1e300, so a step there never wins, and a
+    non-finite gradient entry as 0 or +-1e300.  Call it under
+    np.errstate(all="ignore").
+    """
+    try:
+        c, b = math.exp(u[0]), math.exp(u[1])
+        cos_d, sin_d = math.cos(u[2]), math.sin(u[2])
+    except (OverflowError, ValueError):  # C or beta overflows, or delta is infinite
+        return 1e300, np.zeros(3), np.full((3, 3), np.nan)
+    b2, x = b * b, 2.0 * det.visibility * b * cos_d
+    m = np.array([[b2, 1.0, x], [2.0 * b2, 0.0, x], [0.0, 0.0, -2.0 * det.visibility * b * sin_d]])
+
+    s = rate_shape(terms, b, u[2], det.visibility)
+    mu = (c * s + det.accidental_rate) * dur
+    mu_safe = np.maximum(mu, 1e-300)
+    nll = float((mu - k - k * np.log(mu_safe / np.maximum(k, 1))).sum())
+    cd = c * dur
+    e = cd / mu_safe
+    ke = k * e
+    tw = terms @ (cd - ke)
+    g = m @ terms
+    grad = m @ tw
+    g0, g1, g2 = grad.tolist()
+    second = np.array([[g0, g1, g2], [g1, g1 + 2.0 * b2 * tw[0], g2], [g2, g2, -x * tw[2]]])
+    hess = (g * (ke * e)) @ g.T + second
+    if not math.isfinite(nll):
         nll = 1e300
-    return nll, np.nan_to_num(grad, nan=0.0, posinf=1e300, neginf=-1e300)
+    if not math.isfinite(g0 + g1 + g2):
+        grad = np.nan_to_num(grad, nan=0.0, posinf=1e300, neginf=-1e300)
+    return nll, grad, hess
 
 
 def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
@@ -207,9 +227,9 @@ def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
     dwell-weighted terms gives x, and its rank says whether the plan
     separates the terms at all (same tolerance as matrix_rank).
     """
-    if not np.sum(k) > 0:
+    if not k.sum() > 0:
         raise FitError("cannot seed fit: no counts")
-    design = np.column_stack(terms) * dur[:, None]
+    design = terms.T * dur[:, None]
     x, _, rank, _ = np.linalg.lstsq(design, k - det.accidental_rate * dur, rcond=None)
     if rank < 3:
         raise ValueError("unidentifiable: the plan's analyzer settings cannot separate the rate terms")
@@ -218,70 +238,58 @@ def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
     # Each polarization at >= 1 % of the larger (or of the mean rate, when
     # accidentals swamp both), so psi starts within [0.6, 89.4] deg and C on
     # the scale of the counts: the likelihood goes flat as either runs to 0.
-    cb2, c = np.maximum(x[:2], 1e-2 * max(x[0], x[1], np.sum(k) / np.sum(dur)))
+    cb2, c = np.maximum(x[:2], 1e-2 * max(x[0], x[1], k.sum() / dur.sum()))
     cos_d = x[2] / (2.0 * np.sqrt(cb2 * c) * det.visibility)
     # Not near delta = 0 or pi: d nll/d delta goes as sin delta there.
-    delta = np.clip(np.arccos(np.clip(cos_d, -1.0, 1.0)), np.pi / 12, 11 * np.pi / 12)
+    delta = min(max(np.arccos(min(max(cos_d, -1.0), 1.0)), np.pi / 12), 11 * np.pi / 12)
     return np.array([np.log(c), 0.5 * np.log(cb2 / c), delta])
 
 
-def _nll_hessian(u, terms, dur, k, det: DetectorModel) -> np.ndarray:
-    """Exact Hessian of the negative log-likelihood in u = (log C, log beta, delta):
-    sum of (1 - k/mu) d2mu/du2 + (k/mu^2) dmu/du dmu/du^T over the records."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, b = np.exp(u[0]), np.exp(u[1])
-        s, s_b, s_d, s_bb, s_bd, s_dd = rate_shape(terms, b, u[2], det.visibility, order=2)
-        mu = np.maximum((c * s + det.accidental_rate) * dur, 1e-300)
-        g = np.array([s, b * s_b, s_d])  # dmu/du = C t g, d2mu/du2 = C t gg
-        gg = np.array([g, [g[1], g[1] + b * b * s_bb, b * s_bd], [s_d, b * s_bd, s_dd]])
-        cd, r = c * dur, k / mu
-        return gg @ ((1.0 - r) * cd) + (g * (r / mu * cd * cd)) @ g.T
-
-
-def _fisher_covariance(u, hess) -> np.ndarray:
+def _fisher_covariance(u, hess_pinv) -> np.ndarray:
     """Inverse observed Fisher information over (C, psi, delta) at the optimum u,
-    from the `_nll_hessian` there mapped by J = d(C, psi, delta)/du =
-    diag(C, sin 2psi, 1).  The gradient term of the change of coordinates is
-    dropped; it is 0 there."""
+    from the pseudo-inverse of the NLL's Hessian in u there, mapped by
+    J = d(C, psi, delta)/du = diag(C, sin 2psi, 1).  The gradient term of the
+    change of coordinates is dropped; it is 0 there."""
     jac = np.array([np.exp(u[0]), 1.0 / np.cosh(2.0 * u[1]), 1.0])
-    return _psd_covariance(np.outer(jac, jac) * np.linalg.pinv(hess))
+    return _psd_covariance(jac[:, None] * jac * hess_pinv)
 
 
 def _damped_newton(u, terms, dur, k, det: DetectorModel):
     """Damped Newton steps on the exact Hessian from u; returns the last
-    accepted u and why the steps stopped.
+    accepted u, the (nll, grad, hess) of _nll_derivatives there, and why the
+    steps stopped.
 
     A trial step is -V diag(1 / (|w| + lam)) V^T g over the eigenpairs
     (w, V) of the Hessian: |w| keeps it a descent direction where the
     Hessian is indefinite, and the Levenberg damping lam grows while trial
     steps fail to lower the NLL (a non-finite one never does) and shrinks
-    once one does.  The steps end where the quadratic model predicts a fall
-    too small to change the NLL (f + pred >= f), at a non-finite Hessian,
-    or after _MAX_ITERATIONS trial steps; the caller judges the point by
-    its Newton decrement.
+    once one does.  Each trial point is evaluated once.  The steps end where
+    the quadratic model predicts a fall too small to change the NLL
+    (f + pred >= f), at a non-finite Hessian, or after _MAX_ITERATIONS trial
+    steps; the caller judges the point by its Newton decrement.  Call it
+    under np.errstate(all="ignore").
     """
-    f, g = _nll_and_grad(u, terms, dur, k, det)
+    best = f, g, hess = _nll_derivatives(u, terms, dur, k, det)
     lam, w = 0.0, None
     for _ in range(_MAX_ITERATIONS):
         if w is None:
-            hess = _nll_hessian(u, terms, dur, k, det)
             if not np.isfinite(hess).all():
-                return u, "non-finite Hessian"
+                return u, best, "non-finite Hessian"
             w, v = np.linalg.eigh(hess)
         gv = v.T @ g
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = gv / (np.abs(w) + lam)
-            pred = step @ (0.5 * w * step - gv)  # g.p + p.H.p / 2 at p = -V step
-            trial = u - v @ step
+        step = gv / (np.abs(w) + lam)
+        pred = step @ (0.5 * w * step - gv)  # g.p + p.H.p / 2 at p = -V step
         if f + pred >= f:
-            return u, "the predicted fall in the NLL is below its rounding"
-        f_trial, g_trial = _nll_and_grad(trial, terms, dur, k, det)
-        if f_trial < f:
-            u, f, g, w = trial, f_trial, g_trial, None
+            return u, best, "the predicted fall in the NLL is below its rounding"
+        trial = u - v @ step
+        evaluated = _nll_derivatives(trial, terms, dur, k, det)
+        if evaluated[0] < f:
+            u, best, w = trial, evaluated, None
+            f, g, hess = best
             lam *= 0.25
         else:
             lam = max(4.0 * lam, 1e-3 * np.abs(w).max())
-    return u, f"no convergence in {_MAX_ITERATIONS} steps"
+    return u, best, f"no convergence in {_MAX_ITERATIONS} steps"
 
 
 def least_squares_fit(
@@ -304,32 +312,32 @@ def least_squares_fit(
     unidentifiable plans and at visibility 0.
     """
     t1, t2, dur, k = record_columns(records)
-    terms = analyzer_terms(t1, t2)
+    terms = np.array(analyzer_terms(t1, t2))
     u0 = _linear_seed(terms, dur, k, det)  # also the identifiability checks
     if init is not None:
         beta0 = max(init.beta_hat, 1e-6)
         u0 = np.array([np.log(max(init.C_hat, 1e-12)), np.log(beta0), init.delta_mag_hat])
 
-    u, stop = _damped_newton(u0, terms, dur, k, det)
+    with np.errstate(all="ignore"):
+        u, (_, grad, hess), stop = _damped_newton(u0, terms, dur, k, det)
+        delta = float(np.arccos(min(max(np.cos(u[2]), -1.0), 1.0)))
+        if delta != u[2]:  # re-evaluated where folding onto [0, pi] moved it
+            u = np.array([u[0], u[1], delta])
+            _, grad, hess = _nll_derivatives(u, terms, dur, k, det)
 
     c_hat = float(np.exp(u[0]))
     beta = float(np.exp(u[1]))
-    delta = float(np.arccos(np.clip(np.cos(u[2]), -1.0, 1.0)))
     psi = float(np.arctan(beta * beta))
-
-    u = np.array([u[0], u[1], delta])
-    _, grad = _nll_and_grad(u, terms, dur, k, det)
-    hess = _nll_hessian(u, terms, dur, k, det)
-    finite = np.isfinite(hess).all()
-    estimate = EllipsometricEstimate(
-        C_hat=c_hat,
-        psi_hat=psi,
-        delta_mag_hat=delta,
-        covariance=_fisher_covariance(u, hess) if finite else np.full((3, 3), np.nan),
-        method="least_squares",
-    )
-    # abs: where the Hessian is indefinite the decrement can be negative
-    if not (finite and abs(grad @ np.linalg.pinv(hess) @ grad) <= _DECREMENT_TOL):
+    if np.isfinite(hess).all():
+        hess_pinv = np.linalg.pinv(hess)
+        covariance = _fisher_covariance(u, hess_pinv)
+        # abs: where the Hessian is indefinite the decrement can be negative
+        decrement = abs(grad @ hess_pinv @ grad)
+    else:
+        covariance, decrement = np.full((3, 3), np.nan), np.inf
+    estimate = EllipsometricEstimate(C_hat=c_hat, psi_hat=psi, delta_mag_hat=delta, covariance=covariance,
+                                     method="least_squares")
+    if not decrement <= _DECREMENT_TOL:
         raise FitError(f"fit did not converge: {stop}", estimate=estimate)
     a, bb, _ = terms
     if not (min(beta * beta * np.dot(a, dur), np.dot(bb, dur)) * c_hat >= 1.0):

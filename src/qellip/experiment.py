@@ -205,27 +205,15 @@ def analyzer_terms(theta1, theta2):
     return c1 * c1 * s2 * s2, s1 * s1 * c2 * c2, c1 * s1 * c2 * s2
 
 
-def rate_shape(terms, beta, delta, visibility, order=0):
+def rate_shape(terms, beta, delta, visibility):
     """Rate per unit scale, b^2 a + bb + 2 V b cos(delta) cross, for the
     `analyzer_terms` (a, bb, cross), broadcast against beta and delta.
 
     For V <= 1 this is a squared modulus (cross^2 = a bb), so it is floored
-    at 0 where rounding leaves an analyzer null slightly negative.  With
-    order=1, returns (shape, d/d beta, d/d delta); with order=2, also
-    (d2/d beta2, d2/d beta d delta, d2/d delta2).
+    at 0 where rounding leaves an analyzer null slightly negative.
     """
     a, bb, cross = terms
-    cos_d = np.cos(delta)
-    shape = np.maximum(beta * beta * a + bb + 2.0 * visibility * beta * cos_d * cross, 0.0)
-    if order == 0:
-        return shape
-    sin_d = np.sin(delta)
-    ds_db = 2.0 * beta * a + 2.0 * visibility * cos_d * cross
-    ds_dd = -2.0 * visibility * beta * sin_d * cross
-    if order == 1:
-        return shape, ds_db, ds_dd
-    d2s_dbd = -2.0 * visibility * sin_d * cross
-    return shape, ds_db, ds_dd, 2.0 * a, d2s_dbd, -2.0 * visibility * beta * cos_d * cross
+    return np.maximum(beta * beta * a + bb + 2.0 * visibility * beta * np.cos(delta) * cross, 0.0)
 
 
 def coincidence_rate(

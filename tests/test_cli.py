@@ -151,7 +151,7 @@ class TestSimulate:
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "1b27cb8a789c7de82db45188361e9e62161e1c6f3e5a7a6239fef59ae7d03d7f")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "837239992ae32ee757792205eb23aa6f292615285367af130e2e9a9d549735fd")
+            "f85ea8fe2cbd33c76f159cb45f9671ce43bf2a98c87c1a40a42b5e00ca237260")
 
     def test_zero_sweep_step_exits_2(self, tmp_path):
         bad = dict(
@@ -431,18 +431,24 @@ class TestEstimate:
         assert proc.stdout.split() == ["0", "[]"]
 
     def test_non_finite_hessian_exits_4_with_best_iterate(self, tmp_path, monkeypatch):
-        real, calls = qellip.estimate._nll_hessian, []
+        real, calls = qellip.estimate._nll_derivatives, []
 
         def poisoned(*args):
             calls.append(None)
-            return real(*args) if len(calls) == 1 else np.full((3, 3), np.nan)
+            nll, grad, hess = real(*args)
+            return nll, grad, (hess if len(calls) == 1 else np.full((3, 3), np.nan))
 
-        monkeypatch.setattr(qellip.estimate, "_nll_hessian", poisoned)
+        monkeypatch.setattr(qellip.estimate, "_nll_derivatives", poisoned)
         out = tmp_path / "report.json"
         csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
         assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 4
-        report = json.loads(out.read_text())
+
+        def not_json(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=not_json)
         assert math.isfinite(report["psi_deg"]) and math.isfinite(report["C_hat"])
+        assert report["cov"] == [[None] * 3] * 3
         assert report["warnings"] == ["fit did not converge: non-finite Hessian"]
 
     @pytest.mark.parametrize("method", ["fit", "three-angle"])

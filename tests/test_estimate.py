@@ -23,7 +23,7 @@ from qellip import (
     three_angle_invert,
 )
 import qellip.estimate
-from qellip.estimate import _nll_hessian, fit_negative_log_likelihood
+from qellip.estimate import _nll_derivatives, fit_negative_log_likelihood
 from qellip.experiment import analyzer_terms, record_columns
 
 DET = DetectorModel()
@@ -297,7 +297,7 @@ class TestLeastSquaresFit:
         stop[2] += shift_sigma * math.sqrt(best.covariance[2, 2])
 
         def stopped(u, terms, dur, k, det):
-            return stop, "stopped"
+            return stop, _nll_derivatives(stop, terms, dur, k, det), "stopped"
 
         monkeypatch.setattr(qellip.estimate, "_damped_newton", stopped)
         if converged:
@@ -308,14 +308,15 @@ class TestLeastSquaresFit:
             assert excinfo.value.estimate.delta_mag_hat == stop[2]
 
     def test_non_finite_hessian_fails_with_best_iterate(self, monkeypatch):
-        # NaN from the second Hessian on, i.e. after the first accepted step
-        real, calls = _nll_hessian, []
+        # NaN Hessians from the second evaluation on, i.e. from the first trial step
+        real, calls = _nll_derivatives, []
 
         def poisoned(*args):
             calls.append(None)
-            return real(*args) if len(calls) == 1 else np.full((3, 3), np.nan)
+            nll, grad, hess = real(*args)
+            return nll, grad, (hess if len(calls) == 1 else np.full((3, 3), np.nan))
 
-        monkeypatch.setattr(qellip.estimate, "_nll_hessian", poisoned)
+        monkeypatch.setattr(qellip.estimate, "_nll_derivatives", poisoned)
         truth = SampleParams.from_beta_delta(1.5, 1.0)
         plan = AcquisitionPlan(
             tuple((math.radians(t), THETA2, 1.0) for t in range(0, 180, 15))
@@ -388,13 +389,14 @@ class TestLeastSquaresFit:
         det = DetectorModel(accidental_rate=5.0, visibility=0.97)
         recs = simulate_counts(plan, ExperimentScale(1e4), det, truth, seed=4)
         t1, t2, dur, k = record_columns(recs)
-        terms = analyzer_terms(t1, t2)
+        terms = np.array(analyzer_terms(t1, t2))
         rng = np.random.default_rng(17)
         for _ in range(100):
             u = np.array(
                 [rng.uniform(5, 8), rng.uniform(-1, 1), rng.uniform(0.2, 2.9)]
             )
-            hess = _nll_hessian(u, terms, dur, k, det)
+            with np.errstate(all="ignore"):
+                _, _, hess = _nll_derivatives(u, terms, dur, k, det)
             for i in range(3):
                 h = 1e-6 * max(1.0, abs(u[i]))
                 up, um = u.copy(), u.copy()
@@ -446,6 +448,63 @@ class TestLeastSquaresFit:
             normalized.append(rmse * math.sqrt(total))
         ratio = max(normalized) / min(normalized)
         assert ratio < 1.5
+
+
+def reference_derivatives(u, terms, dur, k, det):
+    """NLL, gradient and Hessian in u = (log C, log beta, delta) from the
+    elementwise first and second derivatives of the rate, record by record:
+    the reference for the one-pass kernel, which sums them through the
+    analyzer-term matrix instead."""
+    c, b, delta = math.exp(u[0]), math.exp(u[1]), u[2]
+    a, bb, cross = terms
+    vis, cos_d, sin_d = det.visibility, math.cos(delta), math.sin(delta)
+    s = np.maximum(b * b * a + bb + 2.0 * vis * b * cos_d * cross, 0.0)
+    ds_db = 2.0 * b * a + 2.0 * vis * cos_d * cross
+    ds_dd = -2.0 * vis * b * sin_d * cross
+    d2s_db2 = 2.0 * a
+    d2s_dbd = -2.0 * vis * sin_d * cross
+    d2s_dd2 = -2.0 * vis * b * cos_d * cross
+    mu = (c * s + det.accidental_rate) * dur
+    mu_safe = np.maximum(mu, 1e-300)
+    nll = float(np.sum(mu - k - k * np.log(mu_safe / np.maximum(k, 1))))
+    g = np.array([s, b * ds_db, ds_dd])  # dmu/du = C t g, d2mu/du2 = C t gg
+    gg = np.array([g, [g[1], g[1] + b * b * d2s_db2, b * d2s_dbd], [ds_dd, b * d2s_dbd, d2s_dd2]])
+    cd, r = c * dur, k / mu_safe
+    grad = g @ ((1.0 - r) * cd)
+    hess = gg @ ((1.0 - r) * cd) + (g * (r / mu_safe * cd * cd)) @ g.T
+    return nll, grad, hess
+
+
+class TestNllDerivatives:
+    @pytest.mark.parametrize("theta2_degs", [(45.0,), (45.0, 20.0)])
+    def test_matches_the_elementwise_reference(self, theta2_degs):
+        rng = np.random.default_rng(len(theta2_degs))
+        for _ in range(100):
+            rows = [(math.radians(t1), math.radians(t2), rng.choice([0.5, 1.0, 3.0, 10.0]))
+                    for t2 in theta2_degs for t1 in range(0, 180, 15)]
+            plan = AcquisitionPlan(rows)
+            det = DetectorModel(accidental_rate=rng.uniform(0.0, 500.0), visibility=rng.uniform(0.1, 1.0))
+            truth = SampleParams(rng.uniform(0.05, 1.5), rng.uniform(0.0, math.pi))
+            scale = ExperimentScale(10 ** rng.uniform(1.0, 6.0))
+            recs = simulate_counts(plan, scale, det, truth, seed=int(rng.integers(2**32)))
+            t1, t2, dur, k = record_columns(recs)
+            terms = np.array(analyzer_terms(t1, t2))
+            u = np.array([math.log(scale.pair_rate) + rng.normal(), math.log(truth.beta) + rng.normal(),
+                          rng.uniform(-1.0, 4.0)])
+            with np.errstate(all="ignore"):
+                nll, grad, hess = _nll_derivatives(u, terms, dur, k, det)
+            ref_nll, ref_grad, ref_hess = reference_derivatives(u, terms, dur, k, det)
+            assert nll == pytest.approx(ref_nll, rel=1e-12)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+            np.testing.assert_allclose(hess, ref_hess, rtol=1e-12, atol=1e-12 * np.abs(ref_hess).max())
+
+    @pytest.mark.parametrize("u", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, -math.inf),
+                                   (0.0, 0.0, math.nan), (800.0, 0.0, 1.0), (0.0, 400.0, 1.0)])
+    def test_non_finite_point_never_wins(self, u):
+        recs = noiseless_records(SampleParams.from_beta_delta(1.5, 1.0), range(0, 180, 15))
+        nll, grad = fit_negative_log_likelihood(u, recs, DetectorModel(accidental_rate=3.0))
+        assert nll == 1e300
+        assert np.isfinite(grad).all()
 
 
 def _film(film_nm):
