@@ -3,32 +3,22 @@
 Simulates coincidence counting of a type-II down-conversion twin-photon
 source through a reflective sample and recovers the ellipsometric
 parameters (psi, delta) absolutely, i.e. without source or detector
-calibration.  A minimal classical intensity-ratio ellipsometer is
-included as a comparison baseline.
+calibration.  The coincidence rate is evaluated in closed form only
+(`experiment.analyzer_terms` and `rate_shape`).  A minimal classical
+intensity-ratio ellipsometer is included as a comparison baseline.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
-from .polarization import (
-    BASIS,
-    TwoPhotonState,
-    entangled_state,
-    apply_local,
-    coincidence_amplitude,
-    reduced_density,
-    is_unitary,
-)
 from .samples import (
     SampleParams,
     ReflectionPair,
     FilmStack,
-    sample_jones,
     fresnel_interface,
     film_stack_reflectance,
     psi_delta_from_coeffs,
 )
 from .experiment import (
-    RATE_PROJECTION_FACTOR,
     DetectorModel,
     ExperimentScale,
     AcquisitionPlan,
@@ -54,21 +44,12 @@ from .classical import (
 
 __all__ = [
     "__version__",
-    "BASIS",
-    "TwoPhotonState",
-    "entangled_state",
-    "apply_local",
-    "coincidence_amplitude",
-    "reduced_density",
-    "is_unitary",
     "SampleParams",
     "ReflectionPair",
     "FilmStack",
-    "sample_jones",
     "fresnel_interface",
     "film_stack_reflectance",
     "psi_delta_from_coeffs",
-    "RATE_PROJECTION_FACTOR",
     "DetectorModel",
     "ExperimentScale",
     "AcquisitionPlan",

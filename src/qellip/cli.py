@@ -283,8 +283,6 @@ def _first_bad_line(lines):
             CountRecord(theta1=math.radians(t1), theta2=math.radians(t2), duration=dwell, counts=counts)
         except ValueError as exc:
             return DataError(f"line {lineno}: {exc}")
-        if counts >= 2**63:
-            return DataError(f"line {lineno}: counts must be below 2**63")
     return None
 
 

@@ -17,11 +17,6 @@ import numpy as np
 
 from .samples import SampleParams
 
-# coincidence_rate(scale=1, V=1) equals RATE_PROJECTION_FACTOR times the
-# squared projection amplitude of the entangled state: the 1/sqrt(2) state
-# normalization contributes a factor 1/2 that the closed form does not carry.
-RATE_PROJECTION_FACTOR = 2.0
-
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -98,6 +93,19 @@ class AcquisitionPlan:
         return len(self.theta1)
 
 
+def _checked_counts(counts) -> np.ndarray:
+    """Counts as int64, by the rule CountRecord and CountTable share: each a
+    non-negative integer below 2**63, and not a bool (np.array makes it 1)."""
+    col = np.array(counts)
+    listed = counts if col.ndim == 1 and not isinstance(counts, np.ndarray) else ()
+    if (col.dtype.kind not in "iuf" or any(isinstance(k, (bool, np.bool_)) for k in listed)
+            or not np.all((col >= 0) & (col == np.floor(col)))):
+        raise ValueError("counts must be non-negative integers below 2**63")
+    if not np.all(col < 2**63):
+        raise ValueError("counts must be below 2**63")
+    return col.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """One acquisition: analyzer angles (radians), dwell time, integer coincidences."""
@@ -112,9 +120,8 @@ class CountRecord:
             raise ValueError("analyzer angles must be finite")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError("duration must be finite and positive")
-        if self.counts < 0 or self.counts != int(self.counts):
-            raise ValueError("counts must be a non-negative integer")
-        object.__setattr__(self, "counts", int(self.counts))
+        if type(self.counts) is not int or not 0 <= self.counts < 2**63:  # an in-range int is valid as is
+            object.__setattr__(self, "counts", int(_checked_counts(self.counts)))
 
 
 class CountTable(Sequence):
@@ -130,18 +137,14 @@ class CountTable(Sequence):
 
     def __new__(cls, theta1, theta2, duration, counts):
         theta1, theta2, duration = (np.array(c, dtype=float) for c in (theta1, theta2, duration))
-        counts = np.array(counts)
+        counts = _checked_counts(counts)
         if not theta1.shape == theta2.shape == duration.shape == counts.shape or theta1.ndim != 1:
             raise ValueError("columns must be one-dimensional and of equal length")
         if not (np.all(np.isfinite(theta1)) and np.all(np.isfinite(theta2))):
             raise ValueError("analyzer angles must be finite")
         if not np.all(np.isfinite(duration) & (duration > 0)):
             raise ValueError("duration must be finite and positive")
-        if counts.dtype.kind not in "iuf" or not np.all(
-            (counts >= 0) & (counts < 2**63) & (counts == np.floor(counts))
-        ):
-            raise ValueError("counts must be non-negative integers below 2**63")
-        return cls._trusted(theta1, theta2, duration, counts.astype(np.int64))
+        return cls._trusted(theta1, theta2, duration, counts)
 
     @classmethod
     def _trusted(cls, theta1, theta2, duration, counts):

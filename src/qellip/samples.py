@@ -114,17 +114,6 @@ def _index(n, name: str) -> complex:
     return n
 
 
-def sample_jones(params: SampleParams) -> np.ndarray:
-    """Jones operator of the sample reflection, diag(beta e^{i delta}, 1).
-
-    The V (s) coefficient is normalized to 1; the absolute reflectance is
-    absorbed into the experiment's rate constant.
-    """
-    return np.array(
-        [[params.beta * np.exp(1j * params.delta), 0.0], [0.0, 1.0]], dtype=complex
-    )
-
-
 def _canonical_index(n: complex) -> complex:
     """Map an index to the internal e^{-i omega t} convention, Im(n) >= 0."""
     n = complex(n)

@@ -1,4 +1,9 @@
-"""Exact complex-amplitude algebra for two-photon polarization states.
+"""Two-photon Jones calculus: the independent oracle for the closed-form rate.
+
+The library evaluates the coincidence rate only in closed form
+(`qellip.experiment.analyzer_terms` and `rate_shape`).  This module derives
+the same rate from the entangled pair state, as the squared projection onto
+the two analyzers, so the tests can check the closed form against it.
 
 The four-dimensional amplitude vector is ordered (HH, HV, VH, VV) with
 the *signal* photon's polarization written first, so index = 2*s + i
@@ -9,10 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qellip import SampleParams
+
 BASIS = ("HH", "HV", "VH", "VV")
 HH, HV, VH, VV = 0, 1, 2, 3
 
 _NORM_TOL = 1e-12
+
+# coincidence_rate(scale=1, V=1) equals RATE_PROJECTION_FACTOR times the
+# squared projection amplitude of the entangled state: the 1/sqrt(2) state
+# normalization contributes a factor 1/2 that the closed form does not carry.
+RATE_PROJECTION_FACTOR = 2.0
 
 
 def is_unitary(op: np.ndarray, tol: float = 1e-12) -> bool:
@@ -113,3 +125,25 @@ def reduced_density(state: TwoPhotonState, arm: str) -> np.ndarray:
     else:
         raise ValueError(f"arm must be 'signal' or 'idler', got {arm!r}")
     return 0.5 * (rho + rho.conj().T)
+
+
+def sample_jones(params: SampleParams) -> np.ndarray:
+    """Jones operator of the sample reflection, diag(beta e^{i delta}, 1).
+
+    The V (s) coefficient is normalized to 1; the absolute reflectance is
+    absorbed into the experiment's rate constant.
+    """
+    return np.array(
+        [[params.beta * np.exp(1j * params.delta), 0.0], [0.0, 1.0]], dtype=complex
+    )
+
+
+def projection_rate(params: SampleParams, theta1: float, theta2: float) -> float:
+    """The coincidence rate at scale 1 and V = 1, from the state's projection.
+
+    `sample_jones(params)` acts on the signal photon, the one analysed at
+    theta1, and the idler passes unchanged to its analyzer at theta2: the
+    sample sits in the signal arm, as in `qellip.experiment`.
+    """
+    state = apply_local(entangled_state(), sample_jones(params), np.eye(2))
+    return RATE_PROJECTION_FACTOR * abs(coincidence_amplitude(state, theta1, theta2)) ** 2

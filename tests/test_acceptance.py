@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from qellip import (
-    RATE_PROJECTION_FACTOR,
     AcquisitionPlan,
     ClassicalInstrument,
     CountRecord,
@@ -21,22 +20,27 @@ from qellip import (
     ExperimentScale,
     FilmStack,
     SampleParams,
-    apply_local,
     classical_psi_estimate,
-    coincidence_amplitude,
     coincidence_rate,
-    entangled_state,
     film_stack_reflectance,
     fresnel_interface,
     least_squares_fit,
-    reduced_density,
-    sample_jones,
     simulate_counts,
     three_angle_invert,
     visibility,
 )
 from qellip.cli import main as cli_main
 from qellip.estimate import fit_negative_log_likelihood
+
+from oracle import (
+    RATE_PROJECTION_FACTOR,
+    apply_local,
+    coincidence_amplitude,
+    entangled_state,
+    projection_rate,
+    reduced_density,
+    sample_jones,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 I2 = np.eye(2)
@@ -58,11 +62,6 @@ def criterion(num, title):
         return wrapper
 
     return deco
-
-
-def projection_rate(params, t1, t2):
-    state = apply_local(entangled_state(), sample_jones(params), I2)
-    return RATE_PROJECTION_FACTOR * abs(coincidence_amplitude(state, t1, t2)) ** 2
 
 
 def noiseless_three_angle_rates(c, params, vis=1.0):

@@ -151,7 +151,7 @@ class TestSimulate:
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "1b27cb8a789c7de82db45188361e9e62161e1c6f3e5a7a6239fef59ae7d03d7f")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "f85ea8fe2cbd33c76f159cb45f9671ce43bf2a98c87c1a40a42b5e00ca237260")
+            "de38eed6596756d4b1e77f68e045bd2fc1c018e65fee5486de34f3f1c581e819")
 
     def test_zero_sweep_step_exits_2(self, tmp_path):
         bad = dict(

@@ -116,6 +116,14 @@ class TestThreeAngleInvert:
         with pytest.raises(ValueError, match="eigenpolarization null"):
             three_angle_invert(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "rates",
+        [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf)],
+    )
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            three_angle_invert(*rates)
+
     def test_inconsistent_rates_flagged(self):
         est = three_angle_invert(1.0, 3.0, 1.0)  # cos(delta) = 1.5
         assert "inconsistent rates" in est.warnings

@@ -5,38 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qellip import (
-    RATE_PROJECTION_FACTOR,
     AcquisitionPlan,
     CountRecord,
     CountTable,
     DetectorModel,
     ExperimentScale,
     SampleParams,
-    apply_local,
-    coincidence_amplitude,
     coincidence_rate,
-    entangled_state,
     expected_counts,
-    sample_jones,
     simulate_counts,
     visibility,
 )
 from qellip.experiment import record_columns
 
-I2 = np.eye(2)
+from oracle import projection_rate
+
 MIRROR = SampleParams.mirror()
-
-
-def projection_rate(params, t1, t2):
-    """Quantum-projection oracle for the closed-form rate at V=1.
-
-    The diagonal sample operator goes into the signal slot of the tensor
-    product; on the (|HV>+|VH>)/sqrt(2) state this is equivalent to
-    diag(1, b e^{i d}) acting on the idler and realizes the idler-arm
-    reflection with the documented theta convention.
-    """
-    state = apply_local(entangled_state(), sample_jones(params), I2)
-    return RATE_PROJECTION_FACTOR * abs(coincidence_amplitude(state, t1, t2)) ** 2
 
 
 class TestCoincidenceRate:
@@ -332,10 +316,13 @@ class TestCountTable:
 
     @pytest.mark.parametrize(
         "column, value",
-        [(0, math.nan), (1, math.inf), (2, 0.0), (2, -1.0), (3, -1), (3, 2.5), (3, 2**63)],
+        [(0, math.nan), (1, math.inf), (2, 0.0), (2, -1.0), (3, -1), (3, 2.5), (3, 2**63),
+         (3, True), (3, math.inf), (3, math.nan)],
     )
     def test_invalid_rows_rejected(self, column, value):
         rows = [list(row) for row in self.ROWS]
         rows[1][column] = value
         with pytest.raises(ValueError):
             CountTable(*zip(*rows))
+        with pytest.raises(ValueError):
+            CountRecord(*rows[1])

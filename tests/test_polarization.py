@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qellip import (
+from oracle import (
+    HH,
+    HV,
+    VH,
+    VV,
     TwoPhotonState,
     apply_local,
     coincidence_amplitude,
@@ -12,7 +16,6 @@ from qellip import (
     is_unitary,
     reduced_density,
 )
-from qellip.polarization import HH, HV, VH, VV
 
 I2 = np.eye(2)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

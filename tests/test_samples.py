@@ -12,8 +12,9 @@ from qellip import (
     film_stack_reflectance,
     fresnel_interface,
     psi_delta_from_coeffs,
-    sample_jones,
 )
+
+from oracle import sample_jones
 
 # Independent-oracle values (direct textbook Fresnel / Airy formulas,
 # evaluated separately and frozen here).
