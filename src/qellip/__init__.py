@@ -8,7 +8,7 @@ calibration.  The coincidence rate is evaluated in closed form only
 intensity-ratio ellipsometer is included as a comparison baseline.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .samples import (
     SampleParams,

@@ -88,6 +88,12 @@ def _num(value, context: str) -> float:
     return float(value)
 
 
+def _seed(value, context: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not (0 <= value < 2**64):
+        raise ConfigError(f"{context}: must be an unsigned 64-bit integer")
+    return value
+
+
 def _complex_index(d, context: str) -> complex:
     _obj(d, context)
     re = _num(_get(d, "n_re", context), f"{context}.n_re")
@@ -199,9 +205,7 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"scale.pairs_per_s: {exc}") from exc
     plan = _parse_plan(_obj(_get(raw, "plan", "config"), "plan"))
-    seed = _get(raw, "seed", "config", required=False, default=0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not (0 <= seed < 2**64):
-        raise ConfigError("seed: must be an unsigned 64-bit integer")
+    seed = _seed(_get(raw, "seed", "config", required=False, default=0), "seed")
     inst_raw = _obj(_get(raw, "instrument", "config", required=False, default={}), "instrument")
     try:
         instrument = ClassicalInstrument(
@@ -288,7 +292,7 @@ def _first_bad_line(lines):
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = cfg.seed if args.seed is None else _seed(args.seed, "--seed")
     records = simulate_counts(cfg.plan, cfg.scale, cfg.detector, cfg.sample, seed)
     _write_text(counts_csv(records), args.out)
     return EXIT_OK

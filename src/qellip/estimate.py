@@ -34,7 +34,8 @@ ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angl
 _THREE_ANGLE_TERMS = np.array(analyzer_terms(np.radians([0.0, 45.0, 90.0]), np.pi / 4))
 _UNIT_DETECTOR = DetectorModel()  # three_angle_invert's rates: no accidentals, visibility 1
 _MAX_ITERATIONS = 500  # trial Newton steps before the fit gives up
-_DECREMENT_TOL = 1e-6  # g^T H^+ g at an accepted optimum: within 1e-3 sigma of it
+_DECREMENT_TOL = 1e-6  # Newton decrement at an accepted optimum: within 1e-3 sigma of it
+_EIG_CUTOFF = 1e-15  # Hessian eigenvalues up to this times max|w| count as 0, as in numpy's pseudo-inverse
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,6 @@ class FitError(RuntimeError):
         self.estimate = estimate
 
 
-def _psd_covariance(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip tiny negative eigenvalues from numerical noise."""
-    cov = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(cov)
-    psd = (v * np.maximum(w, 0.0)) @ v.T
-    return 0.5 * (psd + psd.T)
-
-
 def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
     """Closed form from counts k over dwells dur at theta1 = 0, 45, 90 deg
     with theta2 = 45 deg.  With accidental-subtracted rates r = max(k/t - A, 0):
@@ -105,11 +98,11 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
     u = np.array([np.log(2.0 * rate_90), 0.5 * np.log(x), delta])
     with np.errstate(all="ignore"):
         hess = _nll_derivatives(u, _THREE_ANGLE_TERMS, dur, k, det)[2]
-    cov = _fisher_covariance(u, np.linalg.pinv(hess))
+    cov = _fisher_covariance(u, *np.linalg.eigh(hess))
     if not cov[2, 2] * hess[2, 2] >= 0.5:
-        # Were the delta direction kept, var * information would be >= 1.
-        # pinv drops it where delta carries no information (|cos delta| = 1,
-        # or within rounding of it): report the widest spread on [0, pi].
+        # Were the delta direction kept, var * information would be >= 1. It
+        # falls under the eigenvalue cutoff where delta carries no information
+        # (|cos delta| = 1, or within rounding): report the widest spread on [0, pi].
         cov[2, 2] = np.pi**2 / 4
     return EllipsometricEstimate(C_hat=float(2.0 * rate_90), psi_hat=float(np.arctan(x)), delta_mag_hat=delta,
                                  covariance=cov, method="three_angle", warnings=warnings)
@@ -247,13 +240,17 @@ def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
     return np.array([np.log(c), 0.5 * np.log(cb2 / c), delta])
 
 
-def _fisher_covariance(u, hess_pinv) -> np.ndarray:
-    """Inverse observed Fisher information over (C, psi, delta) at the optimum u,
-    from the pseudo-inverse of the NLL's Hessian in u there, mapped by
-    J = d(C, psi, delta)/du = diag(C, sin 2psi, 1).  The gradient term of the
-    change of coordinates is dropped; it is 0 there."""
+def _fisher_covariance(u, w, v) -> np.ndarray:
+    """Inverse observed Fisher information over (C, psi, delta) at the optimum u:
+    S S^T with S = J V / sqrt(w) over the eigenpairs (w, V) of the NLL's
+    Hessian H in u with w > _EIG_CUTOFF max|w|, and J = d(C, psi, delta)/du =
+    diag(C, sin 2psi, 1) (the gradient term of this change of coordinates is
+    0 there).  That is J H^+ J where H is PSD; where it is indefinite (the
+    model does not fit the counts) its negative directions are dropped before J."""
     jac = np.array([np.exp(u[0]), 1.0 / np.cosh(2.0 * u[1]), 1.0])
-    return _psd_covariance(jac[:, None] * jac * hess_pinv)
+    kept = w > _EIG_CUTOFF * np.abs(w).max()
+    s = jac[:, None] * v[:, kept] / np.sqrt(w[kept])
+    return s @ s.T
 
 
 def _damped_newton(u, terms, dur, k, det: DetectorModel):
@@ -306,8 +303,9 @@ def least_squares_fit(
 
     Seeded from the linear model of the counts (or from `init`), stepped
     by _damped_newton on the exact Hessian, and accepted when the Newton
-    decrement g^T H^+ g is at most _DECREMENT_TOL.  The covariance
-    is the inverse observed Fisher information over (C, psi, delta).
+    decrement sum (v^T g)^2 / |w|, over its eigenpairs (w, V) with |w| >
+    _EIG_CUTOFF max|w|, is at most _DECREMENT_TOL.  The covariance is
+    _fisher_covariance there.
     Raises FitError (carrying the best iterate) on non-convergence or when
     psi runs to 0 or 90 deg, where one polarization adds under one
     expected count and the covariance means nothing; raises ValueError on
@@ -331,10 +329,10 @@ def least_squares_fit(
     beta = float(np.exp(u[1]))
     psi = float(np.arctan(beta * beta))
     if np.isfinite(hess).all():
-        hess_pinv = np.linalg.pinv(hess)
-        covariance = _fisher_covariance(u, hess_pinv)
-        # abs: where the Hessian is indefinite the decrement can be negative
-        decrement = abs(grad @ hess_pinv @ grad)
+        w, v = np.linalg.eigh(hess)
+        covariance = _fisher_covariance(u, w, v)
+        nonzero = np.abs(w) > _EIG_CUTOFF * np.abs(w).max()
+        decrement = ((v.T @ grad)[nonzero] ** 2 / np.abs(w[nonzero])).sum()
     else:
         covariance, decrement = np.full((3, 3), np.nan), np.inf
     estimate = EllipsometricEstimate(C_hat=c_hat, psi_hat=psi, delta_mag_hat=delta, covariance=covariance,

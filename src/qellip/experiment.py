@@ -299,16 +299,17 @@ def simulate_counts(
 def visibility(rates) -> float:
     """Fringe visibility (max - min)/(max + min) of a theta1 sweep.
 
-    Needs at least 8 samples spanning at least pi of theta1.
+    Needs at least 8 samples spanning at least pi of theta1, with finite
+    angles and finite, non-negative rates.
     """
-    pts = [(float(t), float(r)) for t, r in rates]
-    if len(pts) < 8:
+    thetas, values = np.array([(float(t), float(r)) for t, r in rates]).reshape(-1, 2).T
+    if len(thetas) < 8:
         raise ValueError("visibility needs at least 8 samples")
-    thetas = [t for t, _ in pts]
-    if max(thetas) - min(thetas) < np.pi - 1e-9:
+    if not (np.isfinite(thetas).all() and np.isfinite(values).all() and values.min() >= 0.0):
+        raise ValueError("visibility needs finite angles and finite, non-negative rates")
+    if thetas.max() - thetas.min() < np.pi - 1e-9:
         raise ValueError("theta1 sweep must span at least pi")
-    values = [r for _, r in pts]
-    lo, hi = min(values), max(values)
+    lo, hi = values.min(), values.max()
     if hi <= 0.0:
         raise ValueError("all rates are zero; visibility undefined")
-    return (hi - lo) / (hi + lo)
+    return float((hi - lo) / (hi + lo))

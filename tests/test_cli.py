@@ -66,6 +66,12 @@ class TestSimulate:
         run(["simulate", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_flag_is_a_config_error(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, MIRROR_CONFIG)
+        assert run(["simulate", "--config", cfg, "--seed", seed]) == 2
+        assert "--seed: must be an unsigned 64-bit integer" in capsys.readouterr().err
+
     def test_analyzer_null_gives_zero_counts(self, tmp_path):
         # mirror rate ~ sin^2(t1 + t2) is exactly 0 at 165 + 15 deg; the
         # draw there must not see a negative mean from rounding
@@ -151,7 +157,7 @@ class TestSimulate:
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "1b27cb8a789c7de82db45188361e9e62161e1c6f3e5a7a6239fef59ae7d03d7f")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "de38eed6596756d4b1e77f68e045bd2fc1c018e65fee5486de34f3f1c581e819")
+            "f96636833fdeb1005aba0f3d1d576fe1cbe10dcf520b53c1ce5ae5481affefbf")
 
     def test_zero_sweep_step_exits_2(self, tmp_path):
         bad = dict(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qellip import (
     AcquisitionPlan,
@@ -23,7 +24,7 @@ from qellip import (
     three_angle_invert,
 )
 import qellip.estimate
-from qellip.estimate import _nll_derivatives, fit_negative_log_likelihood
+from qellip.estimate import _fisher_covariance, _nll_derivatives, fit_negative_log_likelihood
 from qellip.experiment import analyzer_terms, record_columns
 
 DET = DetectorModel()
@@ -162,6 +163,47 @@ class TestThreeAngleInvert:
         assert est.delta_mag_hat == pytest.approx(0.0, abs=1e-7)
         assert est.covariance[2, 2] == math.pi**2 / 4
         assert np.linalg.eigvalsh(est.covariance).min() >= 0.0
+
+    def test_rates_past_the_delta_edge_give_a_psd_rank_2_covariance(self):
+        # cos(delta) = 5.2: the Hessian there is indefinite, and its negative
+        # direction is dropped before the map to (C, psi, delta)
+        est = three_angle_invert(0.65, 2.15, 0.17)
+        assert "inconsistent rates" in est.warnings
+        cov = est.covariance
+        np.testing.assert_array_equal(cov, cov.T)
+        w = np.linalg.eigvalsh(cov)
+        assert w.min() >= -1e-15 * w.max()
+        assert np.linalg.matrix_rank(cov) == 2
+        np.testing.assert_allclose(np.diag(cov), [0.00773793, 0.0333476, 1.58668724], rtol=1e-5)
+
+    def test_huge_rates_give_the_poisson_variances(self):
+        # var(rate) = rate: var C = 4 r and var psi = 1 / (2 r) at equal rates r
+        est = three_angle_invert(1e300, 1e300, 1e300)
+        assert np.isfinite(est.covariance).all()
+        assert est.covariance[0, 0] == pytest.approx(4e300, rel=1e-12)
+        assert est.covariance[1, 1] == pytest.approx(5e-301, rel=1e-12)
+
+
+class TestFisherCovariance:
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        st.lists(st.one_of(st.none(), st.floats(-10.0, 0.0)), min_size=3, max_size=3),
+        st.floats(-50.0, 50.0),
+        st.tuples(st.floats(-30.0, 30.0), st.floats(-5.0, 5.0), st.floats(0.0, math.pi)),
+    )
+    def test_is_the_mapped_pseudo_inverse_for_psd_hessians(self, basis, exponents, log_scale, u):
+        # H = Q diag(w) Q^T with each eigenvalue 0 or within 1e-10 of the largest
+        q = np.linalg.qr(np.reshape(basis, (3, 3)))[0]
+        w = np.array([0.0 if e is None else 10.0 ** (log_scale + e) for e in exponents])
+        hess = (q * w) @ q.T
+        cov = _fisher_covariance(np.array(u), *np.linalg.eigh(hess))
+        np.testing.assert_array_equal(cov, cov.T)
+        jac = np.array([math.exp(u[0]), 1.0 / math.cosh(2.0 * u[1]), 1.0])
+        hess_pinv = np.linalg.pinv(hess)
+        # both are backward stable: they agree to rounding times the condition number
+        cond = w.max() / w[w > 0].min() if w.any() else 1.0
+        atol = 64 * np.finfo(float).eps * cond * np.abs(hess_pinv).max() * np.outer(jac, jac)
+        np.testing.assert_array_less(np.abs(cov - jac[:, None] * jac * hess_pinv), atol + 1e-300)
 
 
 class TestThreeAngleFromCounts:

@@ -239,6 +239,24 @@ class TestVisibility:
         with pytest.raises(ValueError):
             visibility([(t, 0.0) for t in np.linspace(0, math.pi, 9)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {0: (0.0, math.nan)},  # NaN rate first, where max/min would return it
+            {4: (0.5, math.nan)},  # NaN rate later, where max/min would skip it
+            {2: (0.3, -1.0)},
+            {1: (0.1, math.inf)},
+            {i: (math.nan, 1.0 + i) for i in range(9)},  # NaN angles would pass the span check
+            {8: (math.inf, 1.0)},
+        ],
+    )
+    def test_non_finite_or_negative_input_rejected(self, bad):
+        rates = [(t, 1.0 + 0.1 * i) for i, t in enumerate(np.linspace(0, math.pi, 9))]
+        for i, row in bad.items():
+            rates[i] = row
+        with pytest.raises(ValueError, match="finite angles and finite, non-negative rates"):
+            visibility(rates)
+
 
 def test_detector_model_validation():
     with pytest.raises(ValueError):
