@@ -239,15 +239,54 @@ def _round9(obj):
     return obj
 
 
+def _residual_block(xs: list) -> str:
+    """json.dumps(_round9(xs), indent=2) for a non-empty list of floats, as
+    the value of a top-level key, formatted in one C-level pass.
+
+    A %.9g token reads as the float _round9 gives, and where it has a "."
+    and no exponent its digits are that float's repr.  The other tokens
+    (integral values, exponent forms, which %g starts at 1e9 and repr at
+    1e16, inf and nan) are written again by json.
+    """
+    text = ("%.9g\n" * len(xs)) % tuple(xs)
+    if text.count(".") != len(xs) or "e" in text or "n" in text:
+        text = "".join((tok if "." in tok and "e" not in tok and "n" not in tok
+                        else json.dumps(_round9(float(tok)))) + "\n" for tok in text.split())
+    return "[\n    " + text[:-1].replace("\n", ",\n    ") + "\n  ]"
+
+
 def _write_json(report: dict, out_path):
-    _write_text(json.dumps(_round9(report), indent=2, allow_nan=False) + "\n", out_path)
+    """Write json.dumps(_round9(report), indent=2, allow_nan=False) and a
+    newline.
+
+    A report's "residuals" (a list of floats) is formatted by
+    _residual_block and spliced in where json wrote an empty list.  The
+    splice point cannot occur inside a string, where json escapes quotes.
+    """
+    residuals = report.get("residuals")
+    if not residuals:
+        _write_text(json.dumps(_round9(report), indent=2, allow_nan=False) + "\n", out_path)
+        return
+    text = json.dumps(_round9({**report, "residuals": []}), indent=2, allow_nan=False)
+    head, key, tail = text.partition('\n  "residuals": ')
+    _write_text(head + key + _residual_block(residuals) + tail[len("[]"):] + "\n", out_path)
+
+
+def _csv_text(header: str, row_format: str, columns) -> str:
+    """The header line, then row_format % row for each row of the equal-length
+    column lists, formatted in one C-level pass over the interleaved columns."""
+    n, width = len(columns[0]), len(columns)
+    flat = [0] * (n * width)
+    for j, column in enumerate(columns):
+        flat[j::width] = column
+    return header + "\n" + (row_format * n) % tuple(flat)
 
 
 def counts_csv(records) -> str:
     table = count_table(records)
-    rows = zip(np.degrees(table.theta1).tolist(), np.degrees(table.theta2).tolist(),
-               table.duration.tolist(), table.counts.tolist())
-    return COUNTS_HEADER + "\n" + "".join(map("%.6f,%.6f,%.6f,%d\n".__mod__, rows))
+    return _csv_text(COUNTS_HEADER, "%.6f,%.6f,%.6f,%d\n",
+                     (np.degrees(table.theta1).tolist(), np.degrees(table.theta2).tolist(),
+                      table.duration.tolist(), table.counts.tolist()))
 
 
 def parse_counts_csv(text: str) -> CountTable:
@@ -267,8 +306,8 @@ def parse_counts_csv(text: str) -> CountTable:
         fields = ",".join(rows).split(",")
         if set(map(methodcaller("count", ","), rows)) != {3}:
             raise ValueError("expected 4 comma-separated fields")
-        theta1, theta2, dwell = (np.array(list(map(float, fields[j::4]))) for j in range(3))
-        counts = np.array(list(map(int, fields[3::4])), dtype=np.int64)
+        theta1, theta2, dwell = (np.fromiter(map(float, fields[j::4]), float, len(rows)) for j in range(3))
+        counts = np.fromiter(map(int, fields[3::4]), np.int64, len(rows))
         return CountTable(np.radians(theta1), np.radians(theta2), dwell, counts)
     except (ValueError, OverflowError) as exc:
         raise _first_bad_line(lines) or DataError(str(exc)) from exc
@@ -304,21 +343,31 @@ def cmd_fringe(args) -> int:
     shape = rate_shape(analyzer_terms(plan.theta1, plan.theta2), sample.beta, sample.delta,
                        cfg.detector.visibility)
     rates = cfg.scale.detected_rate(cfg.detector) * shape
-    rows = zip(np.degrees(plan.theta1).tolist(), rates.tolist())
-    _write_text(FRINGE_HEADER + "\n" + "".join(map("%.6f,%.6f\n".__mod__, rows)), args.out)
+    text = _csv_text(FRINGE_HEADER, "%.6f,%.6f\n", (np.degrees(plan.theta1).tolist(), rates.tolist()))
+    _write_text(text, args.out)
     return EXIT_OK
 
 
-def _estimate_report(estimate, records, det: DetectorModel, args) -> dict:
+def _ground_truth(args):
+    """The report's ground_truth: None, or both true angles, each finite."""
+    psi, delta = args.true_psi_deg, args.true_delta_deg
+    if psi is None and delta is None:
+        return None
+    context = "--true-psi-deg/--true-delta-deg"
+    if psi is None or delta is None:
+        raise ConfigError(f"{context}: give both or neither")
+    if not (math.isfinite(psi) and math.isfinite(delta)):
+        raise ConfigError(f"{context}: must be finite, got {psi!r} and {delta!r}")
+    return {"psi_deg": psi, "delta_deg": delta}
+
+
+def _estimate_report(estimate, records, det: DetectorModel, ground_truth) -> dict:
     deg = 180.0 / math.pi
     jac = np.diag([1.0, deg, deg])
     cov_deg = jac @ estimate.covariance @ jac
     t1, t2, dur, k = record_columns(records)
     shape = rate_shape(analyzer_terms(t1, t2), estimate.beta_hat, estimate.delta_mag_hat, det.visibility)
     residuals = k - (estimate.C_hat * shape + det.accidental_rate) * dur
-    ground_truth = None
-    if args.true_psi_deg is not None:
-        ground_truth = {"psi_deg": args.true_psi_deg, "delta_deg": args.true_delta_deg}
     return {
         "version": __version__,
         "method": estimate.method,
@@ -356,6 +405,7 @@ def cmd_estimate(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"detector flags: {exc}") from exc
+    ground_truth = _ground_truth(args)
 
     if args.method == "three-angle":
         try:
@@ -367,13 +417,13 @@ def cmd_estimate(args) -> int:
             estimate = least_squares_fit(records, det)
         except FitError as exc:
             if exc.estimate is not None:
-                report = _estimate_report(exc.estimate, records, det, args)
+                report = _estimate_report(exc.estimate, records, det, ground_truth)
                 report["warnings"].append(str(exc))
                 _write_json(report, args.out)
             else:
                 print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-    _write_json(_estimate_report(estimate, records, det, args), args.out)
+    _write_json(_estimate_report(estimate, records, det, ground_truth), args.out)
     return EXIT_OK
 
 

@@ -109,17 +109,17 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
 
 
 def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> EllipsometricEstimate:
-    """Closed-form inversion from accidental-subtracted (finite) rates at
-    theta1 = 0, 45, 90 deg with theta2 = 45 deg, taken as counts in a 1 s
-    dwell at visibility 1.
+    """Closed-form inversion from accidental-subtracted (finite,
+    non-negative) rates at theta1 = 0, 45, 90 deg with theta2 = 45 deg,
+    taken as counts in a 1 s dwell at visibility 1.
 
     psi and delta are computed from the rate ratios only, so a common
     scale factor on all three inputs cannot move them.
     """
     if not (math.isfinite(rate_0) and math.isfinite(rate_45) and math.isfinite(rate_90)):
         raise ValueError("three-angle inversion: rates must be finite")
-    if rate_45 < 0:
-        raise ValueError("eigenpolarization null: three-angle inversion undefined")
+    if min(rate_0, rate_45, rate_90) < 0:
+        raise ValueError("three-angle inversion: rates must be non-negative")
     return _three_angle(np.array([rate_0, rate_45, rate_90], dtype=float), 1.0, _UNIT_DETECTOR)
 
 

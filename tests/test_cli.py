@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qellip.cli
 import qellip.estimate
-from qellip import __version__
-from qellip.cli import main
+from qellip import CountTable, __version__
+from qellip.cli import COUNTS_HEADER, FRINGE_HEADER, _round9, _write_json, counts_csv, load_config, main
+from qellip.experiment import analyzer_terms, rate_shape
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -270,6 +274,23 @@ class TestEstimate:
         assert report["ground_truth"]["psi_deg"] == 45.0
         assert 0.0 <= report["delta_deg"] <= 180.0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--true-psi-deg", "45"], "give both or neither"),
+            (["--true-delta-deg", "3"], "give both or neither"),
+            (["--true-psi-deg", "nan", "--true-delta-deg", "3"], "must be finite"),
+            (["--true-psi-deg", "45", "--true-delta-deg=-inf"], "must be finite"),
+        ],
+        ids=["psi-alone", "delta-alone", "psi-nan", "delta-inf"],
+    )
+    def test_bad_ground_truth_flags_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "report.json"
+        csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
+        assert run(["estimate", csv, "--method", "fit", "--out", str(out), *flags]) == 2
+        assert f"config error: --true-psi-deg/--true-delta-deg: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_angle_exits_3(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         path.write_text(
@@ -437,17 +458,23 @@ class TestEstimate:
         assert proc.stdout.split() == ["0", "[]"]
 
     def test_non_finite_hessian_exits_4_with_best_iterate(self, tmp_path, monkeypatch):
-        real, calls = qellip.estimate._nll_derivatives, []
+        real, calls, reports = qellip.estimate._nll_derivatives, [], []
 
         def poisoned(*args):
             calls.append(None)
             nll, grad, hess = real(*args)
             return nll, grad, (hess if len(calls) == 1 else np.full((3, 3), np.nan))
 
+        def recorded(report, out_path):
+            reports.append(report)
+            _write_json(report, out_path)
+
         monkeypatch.setattr(qellip.estimate, "_nll_derivatives", poisoned)
+        monkeypatch.setattr(qellip.cli, "_write_json", recorded)
         out = tmp_path / "report.json"
         csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
         assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 4
+        assert len(reports) == 1 and out.read_text() == reference_json(reports[0])
 
         def not_json(token):
             raise ValueError(f"{token} is not JSON")
@@ -552,3 +579,100 @@ class TestConfigSamples:
         cfg = write_config(tmp_path, config)
         assert run(["simulate", "--config", cfg]) == 2
         assert "sample" in capsys.readouterr().err
+
+
+def reference_json(report):
+    # The report contract written out: json's pure-Python indent encoder over
+    # _round9, as every report was written before the one-pass writer.
+    return json.dumps(_round9(report), indent=2, allow_nan=False) + "\n"
+
+
+def written_json(report):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_json(report, None)
+    return buf.getvalue()
+
+
+def report_with(residuals, warnings=(), cov=None):
+    return {
+        "version": __version__,
+        "method": "least_squares",
+        "psi_deg": 37.1817310042,
+        "delta_deg": 1e-7,
+        "C_hat": 5999.0,
+        "cov": [[1.0, 2.5e-9, math.nan], [2.5e-9, 1e16, 0.0], [math.nan, 0.0, -0.0]] if cov is None else cov,
+        "warnings": list(warnings),
+        "residuals": residuals,
+        "detector": {"eta1": 0.2, "eta2": 0.3, "accidental_per_s": 5.0, "visibility": 0.97},
+        "ground_truth": None,
+    }
+
+
+# Values where %.9g and repr part ways, or that are not JSON numbers.
+EDGE_RESIDUALS = [
+    0.0, -0.0, 3.0, -7.0, 0.999999999999, -12.0000000001, 999999999.9999,
+    1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 123456789.4, 1.23456789e10,
+    1e-4, 9.99999999999e-5, 1e-5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+SPLICE_WARNINGS = ['"residuals": []', '\n  "residuals": [],', 'say "no"\\', "two\nlines"]
+
+
+class TestWriters:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        residuals=st.lists(
+            st.one_of(
+                st.floats(),  # any double: subnormals, +-0.0, +-inf and NaN included
+                st.integers(-(2**60), 2**60).map(float),
+                st.floats(1e9, 1e16) | st.floats(-1e16, -1e9),
+                st.sampled_from(EDGE_RESIDUALS),
+            ),
+            max_size=50,
+        ),
+        warnings=st.lists(st.text() | st.sampled_from(SPLICE_WARNINGS), max_size=3),
+        cov=st.lists(st.lists(st.floats(), min_size=3, max_size=3), min_size=3, max_size=3),
+    )
+    def test_report_matches_reference_encoder(self, residuals, warnings, cov):
+        report = report_with(residuals, warnings, cov)
+        assert written_json(report) == reference_json(report)
+
+    @pytest.mark.parametrize("residuals", [EDGE_RESIDUALS, [], [math.nan], [-0.0], [1e16]])
+    def test_edge_residuals_match_reference_encoder(self, residuals):
+        report = report_with(residuals, SPLICE_WARNINGS)
+        assert written_json(report) == reference_json(report)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 2000])
+    def test_counts_csv_matches_per_row_reference(self, n):
+        rng = np.random.default_rng(n)
+        theta1 = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-9, 4, n)
+        theta1[::3] = -0.0
+        theta2 = rng.uniform(-4, 4, n)
+        dwell = 10.0 ** rng.uniform(-7, 7, n)
+        counts = rng.integers(0, 2**63 - 1, n, endpoint=True)
+        counts[::4] = 2**63 - 1
+        counts[1::4] = 0
+        table = CountTable(theta1, theta2, dwell, counts)
+        rows = zip(np.degrees(table.theta1).tolist(), np.degrees(table.theta2).tolist(),
+                   table.duration.tolist(), table.counts.tolist())
+        want = COUNTS_HEADER + "\n" + "".join(map("%.6f,%.6f,%.6f,%d\n".__mod__, rows))
+        assert counts_csv(table) == want
+        assert counts_csv(list(table)) == want
+
+    def test_fringe_matches_per_row_reference(self, tmp_path):
+        config = dict(
+            MIRROR_CONFIG,
+            sample={"type": "direct", "psi_deg": 30.0, "delta_deg": 100.0},
+            detector={"eta1": 0.2, "eta2": 0.3, "accidental_per_s": 0.0, "visibility": 0.97},
+            plan={"theta2_deg": 20.0, "sweep": {"start": -90, "stop": 90, "step": 0.25}, "dwell_s": 1.0},
+        )
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "fringe.csv"
+        assert run(["fringe", "--config", cfg, "--out", str(out)]) == 0
+        c = load_config(cfg)
+        shape = rate_shape(analyzer_terms(c.plan.theta1, c.plan.theta2), c.sample.beta, c.sample.delta,
+                           c.detector.visibility)
+        rates = c.scale.detected_rate(c.detector) * shape
+        rows = zip(np.degrees(c.plan.theta1).tolist(), rates.tolist())
+        assert out.read_text() == FRINGE_HEADER + "\n" + "".join(map("%.6f,%.6f\n".__mod__, rows))

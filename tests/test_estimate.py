@@ -117,6 +117,15 @@ class TestThreeAngleInvert:
         with pytest.raises(ValueError, match="eigenpolarization null"):
             three_angle_invert(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("rates", [(-1.0, 0.5, 1.0), (1.0, -0.5, 1.0), (1.0, 0.5, -1.0)])
+    def test_negative_rates_rejected(self, rates):
+        with pytest.raises(ValueError, match="rates must be non-negative"):
+            three_angle_invert(*rates)
+
+    def test_zero_cross_rate_accepted(self):
+        est = three_angle_invert(1.0, 0.0, 1.0)  # cos(delta) = -1
+        assert est.delta_mag_hat == pytest.approx(math.pi)
+
     @pytest.mark.parametrize(
         "rates",
         [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf)],
