@@ -29,6 +29,17 @@ MIRROR_CONFIG = {
     "seed": 7,
 }
 
+# SiO2 100 nm on Si at 70 deg and 632.8 nm; tests/golden/sio2_on_si_fringe.csv
+# is its `qellip fringe` output.
+FILM_CONFIG = {
+    "sample": {"type": "stack", "wavelength_nm": 632.8, "angle_deg": 70.0, "n_ambient": 1.0,
+               "layers": [{"n_re": 1.457, "n_im": 0.0, "d_nm": 100.0}],
+               "substrate": {"n_re": 3.882, "n_im": 0.019}},
+    "detector": {"eta1": 0.2, "eta2": 0.3, "accidental_per_s": 5.0, "visibility": 0.97},
+    "scale": {"pairs_per_s": 100000},
+    "plan": {"theta2_deg": 45.0, "sweep": {"start": 0, "stop": 180, "step": 5}, "dwell_s": 1.0},
+}
+
 
 def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
@@ -579,6 +590,73 @@ class TestConfigSamples:
         cfg = write_config(tmp_path, config)
         assert run(["simulate", "--config", cfg]) == 2
         assert "sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_im", [0.019, -0.019], ids=["n+ik", "n-ik"])
+    def test_film_fringe_matches_committed_golden(self, tmp_path, n_im):
+        # Written by the stack path before the interface became a layerless
+        # stack; an n - i*kappa substrate is conjugated on entry.
+        sample = dict(FILM_CONFIG["sample"], substrate={"n_re": 3.882, "n_im": n_im})
+        cfg = write_config(tmp_path, dict(FILM_CONFIG, sample=sample))
+        out = tmp_path / "fringe.csv"
+        assert run(["fringe", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "sio2_on_si_fringe.csv").read_bytes()
+
+
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+def _stack_sample(**fields):
+    return dict(FILM_CONFIG["sample"], **fields)
+
+
+BOUNDARY_CASES = {
+    # id: (subcommand, config object or CSV text written to its input, exit code, stderr prefix)
+    "scale-missing": ("simulate", _without(MIRROR_CONFIG, "scale"), 2,
+                      "config error: config.scale: missing required field"),
+    "layers-not-a-list": ("simulate", dict(MIRROR_CONFIG, sample=_stack_sample(layers={})), 2,
+                          "config error: sample.layers: expected a list"),
+    "empty-theta1-list": ("simulate", dict(MIRROR_CONFIG, plan={"theta2_deg": 45.0, "theta1_list_deg": [],
+                                                                 "dwell_s": 1.0}),
+                          2, "config error: plan.theta1_list_deg: expected a non-empty list"),
+    "sweep-stop-below-start": (
+        "simulate", dict(MIRROR_CONFIG, plan=dict(MIRROR_CONFIG["plan"], sweep={"start": 90, "stop": 0, "step": 15})),
+        2, "config error: plan.sweep.stop: must be >= start"),
+    "plan-without-angles": ("simulate", dict(MIRROR_CONFIG, plan={"theta2_deg": 45.0, "dwell_s": 1.0}), 2,
+                            "config error: plan: needs theta1_list_deg or sweep"),
+    "unreadable-config": ("simulate", None, 2, "config error: cannot read config {path}: "),
+    "json-root-list": ("simulate", [MIRROR_CONFIG], 2, "config error: config root must be an object"),
+    "detector-visibility": ("simulate", dict(MIRROR_CONFIG, detector={"visibility": 1.5}), 2,
+                            "config error: detector: visibility must lie in [0, 1], got 1.5"),
+    "scale-zero-rate": ("simulate", dict(MIRROR_CONFIG, scale={"pairs_per_s": 0}), 2,
+                        "config error: scale.pairs_per_s: pair_rate must be positive"),
+    "instrument-extinction": ("simulate", dict(MIRROR_CONFIG, instrument={"extinction": 1.0}), 2,
+                              "config error: instrument: extinction must lie in [0, 1)"),
+    "csv-blank-rows-only": ("estimate", COUNTS_HEADER + "\n\n   \n\n", 3, "data error: no data rows"),
+    "unreadable-csv": ("estimate", None, 3, "data error: cannot read {path}: "),
+    "visibility-flag": ("estimate", (GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text(), 2,
+                        "config error: detector flags: visibility must lie in [0, 1], got 1.5"),
+}
+
+
+class TestBoundaryErrors:
+    @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+    def test_exit_code_and_message(self, tmp_path, capsys, case):
+        command, content, code, message = BOUNDARY_CASES[case]
+        path = tmp_path / "input"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        if command == "estimate":
+            visibility = "1.5" if case == "visibility-flag" else "1"
+            argv = ["estimate", str(path), "--visibility", visibility, "--out", str(out)]
+        else:
+            argv = ["simulate", "--config", str(path), "--out", str(out)]
+        assert run(argv) == code
+        assert capsys.readouterr().err.startswith(message.format(path=path))
+        assert not out.exists()
 
 
 def reference_json(report):
