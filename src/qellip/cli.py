@@ -67,12 +67,18 @@ class RunConfig:
     instrument: ClassicalInstrument
 
 
-def _get(d: dict, key: str, context: str, required=True, default=None):
+def _get(d: dict, key: str, context: str):
     if key not in d:
-        if required:
-            raise ConfigError(f"{context}.{key}: missing required field")
-        return default
+        raise ConfigError(f"{context}.{key}: missing required field")
     return d[key]
+
+
+def _build(context: str, make, **fields):
+    """make(**fields), with its ValueError reported as a ConfigError naming context."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _obj(value, context: str) -> dict:
@@ -97,49 +103,43 @@ def _seed(value, context: str) -> int:
 def _complex_index(d, context: str) -> complex:
     _obj(d, context)
     re = _num(_get(d, "n_re", context), f"{context}.n_re")
-    im = _num(_get(d, "n_im", context, required=False, default=0.0), f"{context}.n_im")
+    im = _num(d.get("n_im", 0.0), f"{context}.n_im")
     return complex(re, im)
 
 
 def _parse_sample(d, context="sample") -> SampleParams:
     kind = _get(d, "type", context)
-    try:
-        if kind == "direct":
-            psi = math.radians(_num(_get(d, "psi_deg", context), f"{context}.psi_deg"))
-            delta = math.radians(_num(_get(d, "delta_deg", context), f"{context}.delta_deg"))
-            return SampleParams(psi=psi, delta=delta)
-        if kind == "mirror":
-            return SampleParams.mirror()
-        if kind == "interface":
-            n_amb = _num(_get(d, "n_ambient", context), f"{context}.n_ambient")
-            angle = math.radians(_num(_get(d, "angle_deg", context), f"{context}.angle_deg"))
-            n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
-            return psi_delta_from_coeffs(fresnel_interface(n_amb, n_sub, angle))
-        if kind == "stack":
-            wavelength = _num(_get(d, "wavelength_nm", context), f"{context}.wavelength_nm") * 1e-9
-            angle = math.radians(_num(_get(d, "angle_deg", context), f"{context}.angle_deg"))
-            n_amb = _num(_get(d, "n_ambient", context), f"{context}.n_ambient")
-            raw_layers = _get(d, "layers", context, required=False, default=[])
-            if not isinstance(raw_layers, list):
-                raise ConfigError(f"{context}.layers: expected a list")
-            layers = []
-            for i, layer in enumerate(raw_layers):
-                lc = f"{context}.layers[{i}]"
-                n = _complex_index(layer, lc)
-                thickness = _num(_get(layer, "d_nm", lc), f"{lc}.d_nm") * 1e-9
-                layers.append((n, thickness))
-            n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
-            stack = FilmStack(
-                wavelength=wavelength,
-                incidence_angle=angle,
-                n_ambient=n_amb,
-                layers=tuple(layers),
-                n_substrate=n_sub,
-            )
-            return psi_delta_from_coeffs(film_stack_reflectance(stack))
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    raise ConfigError(f"{context}.type: unknown sample type {kind!r}")
+    if kind == "direct":
+        psi = math.radians(_num(_get(d, "psi_deg", context), f"{context}.psi_deg"))
+        delta = math.radians(_num(_get(d, "delta_deg", context), f"{context}.delta_deg"))
+        return _build(context, SampleParams, psi=psi, delta=delta)
+    if kind == "mirror":
+        return SampleParams.mirror()
+    if kind == "interface":
+        n_amb = _num(_get(d, "n_ambient", context), f"{context}.n_ambient")
+        angle = math.radians(_num(_get(d, "angle_deg", context), f"{context}.angle_deg"))
+        n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
+        pair = _build(context, fresnel_interface, n_ambient=n_amb, n_substrate=n_sub, angle=angle)
+    elif kind == "stack":
+        wavelength = _num(_get(d, "wavelength_nm", context), f"{context}.wavelength_nm") * 1e-9
+        angle = math.radians(_num(_get(d, "angle_deg", context), f"{context}.angle_deg"))
+        n_amb = _num(_get(d, "n_ambient", context), f"{context}.n_ambient")
+        raw_layers = d.get("layers", [])
+        if not isinstance(raw_layers, list):
+            raise ConfigError(f"{context}.layers: expected a list")
+        layers = []
+        for i, layer in enumerate(raw_layers):
+            lc = f"{context}.layers[{i}]"
+            n = _complex_index(layer, lc)
+            thickness = _num(_get(layer, "d_nm", lc), f"{lc}.d_nm") * 1e-9
+            layers.append((n, thickness))
+        n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
+        stack = _build(context, FilmStack, wavelength=wavelength, incidence_angle=angle,
+                       n_ambient=n_amb, layers=tuple(layers), n_substrate=n_sub)
+        pair = _build(context, film_stack_reflectance, stack=stack)
+    else:
+        raise ConfigError(f"{context}.type: unknown sample type {kind!r}")
+    return _build(context, psi_delta_from_coeffs, pair=pair)
 
 
 def _parse_plan(d, context="plan") -> AcquisitionPlan:
@@ -171,10 +171,7 @@ def _parse_plan(d, context="plan") -> AcquisitionPlan:
         raise ConfigError(f"{context}: needs theta1_list_deg or sweep")
     theta1 = np.radians(angles)
     settings = np.column_stack((theta1, np.full_like(theta1, theta2), np.full_like(theta1, dwell)))
-    try:
-        return AcquisitionPlan(settings)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return _build(context, AcquisitionPlan, settings=settings)
 
 
 def load_config(path: str) -> RunConfig:
@@ -189,42 +186,41 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config root must be an object")
 
     sample = _parse_sample(_obj(_get(raw, "sample", "config"), "sample"))
-    det_raw = _obj(_get(raw, "detector", "config", required=False, default={}), "detector")
-    try:
-        detector = DetectorModel(
-            eta1=_num(det_raw.get("eta1", 1.0), "detector.eta1"),
-            eta2=_num(det_raw.get("eta2", 1.0), "detector.eta2"),
-            accidental_rate=_num(det_raw.get("accidental_per_s", 0.0), "detector.accidental_per_s"),
-            visibility=_num(det_raw.get("visibility", 1.0), "detector.visibility"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
+    det_raw = _obj(raw.get("detector", {}), "detector")
+    detector = _build(
+        "detector",
+        DetectorModel,
+        eta1=_num(det_raw.get("eta1", 1.0), "detector.eta1"),
+        eta2=_num(det_raw.get("eta2", 1.0), "detector.eta2"),
+        accidental_rate=_num(det_raw.get("accidental_per_s", 0.0), "detector.accidental_per_s"),
+        visibility=_num(det_raw.get("visibility", 1.0), "detector.visibility"),
+    )
     scale_raw = _obj(_get(raw, "scale", "config"), "scale")
-    try:
-        scale = ExperimentScale(pair_rate=_num(_get(scale_raw, "pairs_per_s", "scale"), "scale.pairs_per_s"))
-    except ValueError as exc:
-        raise ConfigError(f"scale.pairs_per_s: {exc}") from exc
+    pair_rate = _num(_get(scale_raw, "pairs_per_s", "scale"), "scale.pairs_per_s")
+    scale = _build("scale.pairs_per_s", ExperimentScale, pair_rate=pair_rate)
     plan = _parse_plan(_obj(_get(raw, "plan", "config"), "plan"))
-    seed = _seed(_get(raw, "seed", "config", required=False, default=0), "seed")
-    inst_raw = _obj(_get(raw, "instrument", "config", required=False, default={}), "instrument")
-    try:
-        instrument = ClassicalInstrument(
-            gain_drift=_num(inst_raw.get("gain_drift", 1.0), "instrument.gain_drift"),
-            extinction=_num(inst_raw.get("extinction", 0.0), "instrument.extinction"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"instrument: {exc}") from exc
+    seed = _seed(raw.get("seed", 0), "seed")
+    inst_raw = _obj(raw.get("instrument", {}), "instrument")
+    instrument = _build(
+        "instrument",
+        ClassicalInstrument,
+        gain_drift=_num(inst_raw.get("gain_drift", 1.0), "instrument.gain_drift"),
+        extinction=_num(inst_raw.get("extinction", 0.0), "instrument.extinction"),
+    )
     return RunConfig(
         sample=sample, detector=detector, scale=scale, plan=plan, seed=seed, instrument=instrument
     )
 
 
 def _write_text(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out_path}: {exc}") from exc
 
 
 def _round9(obj):
@@ -388,6 +384,11 @@ def _estimate_report(estimate, records, det: DetectorModel, ground_truth) -> dic
 
 
 def cmd_estimate(args) -> int:
+    # The flags are checked before the CSV is read: a bad flag is a config
+    # error whatever the file holds, and costs no parse.
+    det = _build("detector flags", DetectorModel, eta1=args.eta1, eta2=args.eta2,
+                 accidental_rate=args.accidental_per_s, visibility=args.visibility)
+    ground_truth = _ground_truth(args)
     try:
         with open(args.counts_csv) as fh:
             text = fh.read()
@@ -396,17 +397,8 @@ def cmd_estimate(args) -> int:
     table = parse_counts_csv(text)
     # Canonical order makes the report independent of input row order.
     records = table[np.lexsort((table.counts, table.duration, table.theta2, table.theta1))]
-    try:
-        det = DetectorModel(
-            eta1=args.eta1,
-            eta2=args.eta2,
-            accidental_rate=args.accidental_per_s,
-            visibility=args.visibility,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"detector flags: {exc}") from exc
-    ground_truth = _ground_truth(args)
 
+    failures = []
     if args.method == "three-angle":
         try:
             estimate = three_angle_from_counts(records, det)
@@ -416,15 +408,13 @@ def cmd_estimate(args) -> int:
         try:
             estimate = least_squares_fit(records, det)
         except FitError as exc:
-            if exc.estimate is not None:
-                report = _estimate_report(exc.estimate, records, det, ground_truth)
-                report["warnings"].append(str(exc))
-                _write_json(report, args.out)
-            else:
-                print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-    _write_json(_estimate_report(estimate, records, det, ground_truth), args.out)
-    return EXIT_OK
+            if exc.estimate is None:
+                raise
+            estimate, failures = exc.estimate, [str(exc)]
+    report = _estimate_report(estimate, records, det, ground_truth)
+    report["warnings"] += failures
+    _write_json(report, args.out)
+    return EXIT_NUMERIC if failures else EXIT_OK
 
 
 def cmd_baseline(args) -> int:

@@ -82,7 +82,8 @@ class FilmStack:
     """Planar multilayer: ambient / layers (top to bottom) / substrate.
 
     layers is a sequence of (complex refractive index, thickness in meters);
-    wavelength is the vacuum wavelength in meters.
+    wavelength is the vacuum wavelength in meters.  Indices are stored in
+    the e^{-i omega t} convention, Im(n) >= 0: n - i*kappa becomes n + i*kappa.
     """
 
     wavelength: float
@@ -107,16 +108,11 @@ class FilmStack:
 
 
 def _index(n, name: str) -> complex:
-    """A layer or substrate index as a complex; the stack's admittances divide by it."""
+    """A layer or substrate index as a complex with Im(n) >= 0; the stack's
+    admittances divide by it."""
     n = complex(n)
     if not (np.isfinite(n.real) and np.isfinite(n.imag)) or n == 0:
         raise ValueError(f"{name} must be finite and non-zero")
-    return n
-
-
-def _canonical_index(n: complex) -> complex:
-    """Map an index to the internal e^{-i omega t} convention, Im(n) >= 0."""
-    n = complex(n)
     return n.conjugate() if n.imag < 0 else n
 
 
@@ -133,20 +129,17 @@ def _cos_transmitted(n: complex, sin_inc: float) -> complex:
     return ct
 
 
-def _stack_coefficients(
-    n_ambient: float, angle: float, layers, n_substrate: complex, wavelength: float
-) -> ReflectionPair:
-    """Characteristic-matrix reflection coefficients of a multilayer.
+def film_stack_reflectance(stack: FilmStack) -> ReflectionPair:
+    """Characteristic-matrix reflection coefficients of the multilayer stack.
 
     Raises ValueError where a step overflows, divides by zero or gives NaN
     (an index so small that (sin / n)^2 overflows, an absorbing or
     evanescent layer thick enough that cos(phase) overflows), where numpy
     would only warn and carry inf or NaN on.
     """
-    sin_inc = n_ambient * np.sin(angle)
-    cos_inc = np.cos(angle)
-    n_sub = _canonical_index(n_substrate)
-    layers = [(_canonical_index(n), d) for n, d in layers]
+    n_ambient, n_sub = stack.n_ambient, stack.n_substrate
+    sin_inc = n_ambient * np.sin(stack.incidence_angle)
+    cos_inc = np.cos(stack.incidence_angle)
 
     out = {}
     try:
@@ -160,9 +153,9 @@ def _stack_coefficients(
                     eta0 = n_ambient / cos_inc
                     eta_sub = n_sub / cos_sub
                 m = np.eye(2, dtype=complex)
-                for n, d in layers:
+                for n, d in stack.layers:
                     ct = _cos_transmitted(n, sin_inc)
-                    phase = _TWO_PI * n * d * ct / wavelength
+                    phase = _TWO_PI * n * d * ct / stack.wavelength
                     eta = n * ct if pol == "s" else n / ct
                     c, s = np.cos(phase), np.sin(phase)
                     m = m @ np.array([[c, -1j * s / eta], [-1j * eta * s, c]])
@@ -176,27 +169,9 @@ def _stack_coefficients(
 
 
 def fresnel_interface(n_ambient: float, n_substrate: complex, angle: float) -> ReflectionPair:
-    """Amplitude reflection coefficients of a single ambient/substrate interface."""
-    if not (np.isfinite(n_ambient) and n_ambient > 0):
-        raise ValueError("n_ambient must be positive")
-    if not (0.0 <= angle < np.pi / 2):
-        raise ValueError("incidence angle must lie in [0, pi/2); grazing rejected")
-    return _stack_coefficients(n_ambient, angle, (), _index(n_substrate, "substrate index"), 1.0)
-
-
-def film_stack_reflectance(stack: FilmStack) -> ReflectionPair:
-    """Reflection coefficients of the full multilayer stack.
-
-    With zero layers this reduces exactly (bit for bit) to
-    fresnel_interface(n_ambient, n_substrate, incidence_angle).
-    """
-    return _stack_coefficients(
-        stack.n_ambient,
-        stack.incidence_angle,
-        stack.layers,
-        stack.n_substrate,
-        stack.wavelength,
-    )
+    """Amplitude reflection coefficients of a single ambient/substrate
+    interface: a stack with no layers, where the wavelength drops out."""
+    return film_stack_reflectance(FilmStack(1.0, angle, n_ambient, (), n_substrate))
 
 
 def psi_delta_from_coeffs(pair: ReflectionPair) -> SampleParams:

@@ -377,8 +377,22 @@ class TestEstimate:
         )
         out = tmp_path / "report.json"
         assert run(["estimate", str(path), "--method", "fit", "--out", str(out)]) == 4
-        assert "cannot seed fit: no counts" in capsys.readouterr().err
+        # the prefix every other numeric exit prints
+        assert capsys.readouterr().err == "numerical error: cannot seed fit: no counts\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--true-psi-deg", "45"], "--true-psi-deg/--true-delta-deg: give both or neither"),
+            (["--visibility", "1.5"], "detector flags: visibility must lie in [0, 1], got 1.5"),
+        ],
+        ids=["ground-truth", "visibility"],
+    )
+    def test_bad_flag_is_a_config_error_before_the_csv_is_read(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "nonexistent.csv"
+        assert run(["estimate", str(missing), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
     def test_psi_boundary_exits_4(self, tmp_path):
@@ -600,6 +614,18 @@ class TestConfigSamples:
         out = tmp_path / "fringe.csv"
         assert run(["fringe", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "sio2_on_si_fringe.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fringe", "estimate", "baseline"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.csv"
+    if command == "estimate":
+        argv = ["estimate", str(GOLDEN_DIR / "mirror_sweep_seed7.csv")]
+    else:
+        argv = [command, "--config", write_config(tmp_path, MIRROR_CONFIG)]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def _without(config, key):

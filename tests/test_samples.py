@@ -24,6 +24,10 @@ GOLDEN_STACK_PSI_DEG = 37.426296679510905
 GOLDEN_STACK_DELTA_DEG = -79.48955820732466
 
 
+def bits(pair):
+    return np.array([pair.r_p, pair.r_s]).tobytes()
+
+
 def golden_stack():
     # air / SiO2 (n=1.46, 100 nm) / Si (n=3.875-0.016i) at 633 nm, 70 deg
     return FilmStack(
@@ -102,17 +106,29 @@ class TestFresnelInterface:
 
 class TestFilmStack:
     def test_zero_layer_equals_interface_exactly(self):
-        stack = FilmStack(
-            wavelength=633e-9,
-            incidence_angle=math.radians(45),
-            n_ambient=1.0,
-            layers=(),
-            n_substrate=1.5,
-        )
-        got = film_stack_reflectance(stack)
-        want = fresnel_interface(1.0, 1.5, math.radians(45))
-        assert got.r_p == want.r_p
-        assert got.r_s == want.r_s
+        # n - i*kappa substrates included: both signs give the same
+        # coefficients, bit for bit
+        for n_substrate in (1.5, 3.882 + 0.019j, 3.882 - 0.019j, 0.2 - 3.4j, 1.5 - 0j):
+            for angle in map(math.radians, (0.0, 45.0, 70.0, 85.0)):
+                stack = FilmStack(
+                    wavelength=633e-9,
+                    incidence_angle=angle,
+                    n_ambient=1.0,
+                    layers=(),
+                    n_substrate=n_substrate,
+                )
+                got = film_stack_reflectance(stack)
+                want = fresnel_interface(1.0, n_substrate, angle)
+                conjugate = fresnel_interface(1.0, complex(n_substrate).conjugate(), angle)
+                assert bits(got) == bits(want) == bits(conjugate)
+
+    def test_index_is_stored_in_canonical_form(self):
+        absorbing = ((1.46 - 0.002j, 100e-9),)
+        minus = FilmStack(633e-9, 1.2, 1.0, absorbing, n_substrate=3.882 - 0.019j)
+        plus = FilmStack(633e-9, 1.2, 1.0, ((1.46 + 0.002j, 100e-9),), n_substrate=3.882 + 0.019j)
+        assert minus.n_substrate == 3.882 + 0.019j
+        assert minus.layers == plus.layers
+        assert bits(film_stack_reflectance(minus)) == bits(film_stack_reflectance(plus))
 
     def test_full_period_layer_is_transparent(self):
         n, angle = 1.46, math.radians(30)
