@@ -607,8 +607,7 @@ class TestConfigSamples:
 
     @pytest.mark.parametrize("n_im", [0.019, -0.019], ids=["n+ik", "n-ik"])
     def test_film_fringe_matches_committed_golden(self, tmp_path, n_im):
-        # Written by the stack path before the interface became a layerless
-        # stack; an n - i*kappa substrate is conjugated on entry.
+        # an n - i*kappa substrate is conjugated on entry: both signs give the golden bytes
         sample = dict(FILM_CONFIG["sample"], substrate={"n_re": 3.882, "n_im": n_im})
         cfg = write_config(tmp_path, dict(FILM_CONFIG, sample=sample))
         out = tmp_path / "fringe.csv"

@@ -123,8 +123,7 @@ class TestFilmStack:
                 assert bits(got) == bits(want) == bits(conjugate)
 
     def test_index_is_stored_in_canonical_form(self):
-        absorbing = ((1.46 - 0.002j, 100e-9),)
-        minus = FilmStack(633e-9, 1.2, 1.0, absorbing, n_substrate=3.882 - 0.019j)
+        minus = FilmStack(633e-9, 1.2, 1.0, ((1.46 - 0.002j, 100e-9),), n_substrate=3.882 - 0.019j)
         plus = FilmStack(633e-9, 1.2, 1.0, ((1.46 + 0.002j, 100e-9),), n_substrate=3.882 + 0.019j)
         assert minus.n_substrate == 3.882 + 0.019j
         assert minus.layers == plus.layers
