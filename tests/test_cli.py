@@ -627,19 +627,11 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
-def _without(config, key):
-    return {k: v for k, v in config.items() if k != key}
-
-
-def _stack_sample(**fields):
-    return dict(FILM_CONFIG["sample"], **fields)
-
-
 BOUNDARY_CASES = {
     # id: (subcommand, config object or CSV text written to its input, exit code, stderr prefix)
-    "scale-missing": ("simulate", _without(MIRROR_CONFIG, "scale"), 2,
+    "scale-missing": ("simulate", {k: v for k, v in MIRROR_CONFIG.items() if k != "scale"}, 2,
                       "config error: config.scale: missing required field"),
-    "layers-not-a-list": ("simulate", dict(MIRROR_CONFIG, sample=_stack_sample(layers={})), 2,
+    "layers-not-a-list": ("simulate", dict(MIRROR_CONFIG, sample=dict(FILM_CONFIG["sample"], layers={})), 2,
                           "config error: sample.layers: expected a list"),
     "empty-theta1-list": ("simulate", dict(MIRROR_CONFIG, plan={"theta2_deg": 45.0, "theta1_list_deg": [],
                                                                  "dwell_s": 1.0}),
