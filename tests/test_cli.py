@@ -627,6 +627,66 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
+# Every numeric config read, as (sample or plan used, path to the field,
+# required).  The field's name in messages is the path written out.
+SECTIONS = {
+    "direct": {"type": "direct", "psi_deg": 30.0, "delta_deg": 100.0},
+    "interface": {"type": "interface", "n_ambient": 1.0, "angle_deg": 70.0,
+                  "substrate": {"n_re": 3.882, "n_im": 0.019}},
+    "stack": FILM_CONFIG["sample"],
+    "list": {"theta2_deg": 45.0, "theta1_list_deg": [0.0, 45.0, 90.0], "dwell_s": 1.0},
+}
+NUMERIC_FIELDS = [
+    ("direct", ("sample", "psi_deg"), True),
+    ("direct", ("sample", "delta_deg"), True),
+    ("interface", ("sample", "n_ambient"), True),
+    ("interface", ("sample", "angle_deg"), True),
+    ("interface", ("sample", "substrate", "n_re"), True),
+    ("interface", ("sample", "substrate", "n_im"), False),
+    ("stack", ("sample", "wavelength_nm"), True),
+    ("stack", ("sample", "angle_deg"), True),
+    ("stack", ("sample", "n_ambient"), True),
+    ("stack", ("sample", "layers", 0, "n_re"), True),
+    ("stack", ("sample", "layers", 0, "n_im"), False),
+    ("stack", ("sample", "layers", 0, "d_nm"), True),
+    ("stack", ("sample", "substrate", "n_re"), True),
+    ("stack", ("sample", "substrate", "n_im"), False),
+    ("list", ("plan", "theta2_deg"), True),
+    ("list", ("plan", "dwell_s"), True),
+    ("list", ("plan", "theta1_list_deg", 1), False),
+    ("sweep", ("plan", "sweep", "start"), True),
+    ("sweep", ("plan", "sweep", "stop"), True),
+    ("sweep", ("plan", "sweep", "step"), True),
+    ("sweep", ("detector", "eta1"), False),
+    ("sweep", ("detector", "eta2"), False),
+    ("sweep", ("detector", "accidental_per_s"), False),
+    ("sweep", ("detector", "visibility"), False),
+    ("sweep", ("scale", "pairs_per_s"), True),
+    ("sweep", ("instrument", "gain_drift"), False),
+    ("sweep", ("instrument", "extinction"), False),
+]
+
+
+def field_name(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def with_field(section, path, value=None):
+    """MIRROR_CONFIG with an instrument, the named sample or plan, and the
+    field at path set to value, or deleted when value is None."""
+    config = json.loads(json.dumps(dict(MIRROR_CONFIG, instrument={"gain_drift": 1.0, "extinction": 0.0})))
+    if section in SECTIONS:
+        config["plan" if section == "list" else "sample"] = json.loads(json.dumps(SECTIONS[section]))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return config
+
+
 BOUNDARY_CASES = {
     # id: (subcommand, config object or CSV text written to its input, exit code, stderr prefix)
     "scale-missing": ("simulate", {k: v for k, v in MIRROR_CONFIG.items() if k != "scale"}, 2,
@@ -653,6 +713,13 @@ BOUNDARY_CASES = {
     "unreadable-csv": ("estimate", None, 3, "data error: cannot read {path}: "),
     "visibility-flag": ("estimate", (GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text(), 2,
                         "config error: detector flags: visibility must lie in [0, 1], got 1.5"),
+    **{f"{section}:{field_name(path)}-string": (
+        "simulate", with_field(section, path, "x"), 2,
+        f"config error: {field_name(path)}: expected a finite number, got 'x'")
+       for section, path, _ in NUMERIC_FIELDS},
+    **{f"{section}:{field_name(path)}-missing": (
+        "simulate", with_field(section, path), 2, f"config error: {field_name(path)}: missing required field")
+       for section, path, required in NUMERIC_FIELDS if required},
 }
 
 
