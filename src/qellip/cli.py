@@ -87,11 +87,16 @@ def _obj(value, context: str) -> dict:
     return value
 
 
-def _num(value, context: str) -> float:
+def _finite(value, context: str) -> float:
     # json also reads NaN, Infinity and integers too large for a float
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{context}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _num(d: dict, key: str, context: str, default=None) -> float:
+    """d[key] as a finite float, named context.key; required unless a default is given."""
+    return _finite(_get(d, key, context) if default is None else d.get(key, default), f"{context}.{key}")
 
 
 def _seed(value, context: str) -> int:
@@ -101,38 +106,33 @@ def _seed(value, context: str) -> int:
 
 
 def _complex_index(d, context: str) -> complex:
-    _obj(d, context)
-    re = _num(_get(d, "n_re", context), f"{context}.n_re")
-    im = _num(d.get("n_im", 0.0), f"{context}.n_im")
-    return complex(re, im)
+    return complex(_num(_obj(d, context), "n_re", context), _num(d, "n_im", context, 0.0))
 
 
 def _parse_sample(d, context="sample") -> SampleParams:
     kind = _get(d, "type", context)
     if kind == "direct":
-        psi = math.radians(_num(_get(d, "psi_deg", context), f"{context}.psi_deg"))
-        delta = math.radians(_num(_get(d, "delta_deg", context), f"{context}.delta_deg"))
+        psi = math.radians(_num(d, "psi_deg", context))
+        delta = math.radians(_num(d, "delta_deg", context))
         return _build(context, SampleParams, psi=psi, delta=delta)
     if kind == "mirror":
         return SampleParams.mirror()
     if kind == "interface":
-        n_amb = _num(_get(d, "n_ambient", context), f"{context}.n_ambient")
-        angle = math.radians(_num(_get(d, "angle_deg", context), f"{context}.angle_deg"))
+        n_amb = _num(d, "n_ambient", context)
+        angle = math.radians(_num(d, "angle_deg", context))
         n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
         pair = _build(context, fresnel_interface, n_ambient=n_amb, n_substrate=n_sub, angle=angle)
     elif kind == "stack":
-        wavelength = _num(_get(d, "wavelength_nm", context), f"{context}.wavelength_nm") * 1e-9
-        angle = math.radians(_num(_get(d, "angle_deg", context), f"{context}.angle_deg"))
-        n_amb = _num(_get(d, "n_ambient", context), f"{context}.n_ambient")
+        wavelength = _num(d, "wavelength_nm", context) * 1e-9
+        angle = math.radians(_num(d, "angle_deg", context))
+        n_amb = _num(d, "n_ambient", context)
         raw_layers = d.get("layers", [])
         if not isinstance(raw_layers, list):
             raise ConfigError(f"{context}.layers: expected a list")
         layers = []
         for i, layer in enumerate(raw_layers):
             lc = f"{context}.layers[{i}]"
-            n = _complex_index(layer, lc)
-            thickness = _num(_get(layer, "d_nm", lc), f"{lc}.d_nm") * 1e-9
-            layers.append((n, thickness))
+            layers.append((_complex_index(layer, lc), _num(layer, "d_nm", lc) * 1e-9))
         n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
         stack = _build(context, FilmStack, wavelength=wavelength, incidence_angle=angle,
                        n_ambient=n_amb, layers=tuple(layers), n_substrate=n_sub)
@@ -143,20 +143,18 @@ def _parse_sample(d, context="sample") -> SampleParams:
 
 
 def _parse_plan(d, context="plan") -> AcquisitionPlan:
-    theta2 = math.radians(_num(_get(d, "theta2_deg", context), f"{context}.theta2_deg"))
-    dwell = _num(_get(d, "dwell_s", context), f"{context}.dwell_s")
+    theta2 = math.radians(_num(d, "theta2_deg", context))
+    dwell = _num(d, "dwell_s", context)
     if dwell <= 0:
         raise ConfigError(f"{context}.dwell_s: must be positive")
     if "theta1_list_deg" in d:
         lst = d["theta1_list_deg"]
         if not isinstance(lst, list) or not lst:
             raise ConfigError(f"{context}.theta1_list_deg: expected a non-empty list")
-        angles = [_num(v, f"{context}.theta1_list_deg[{i}]") for i, v in enumerate(lst)]
+        angles = [_finite(v, f"{context}.theta1_list_deg[{i}]") for i, v in enumerate(lst)]
     elif "sweep" in d:
         sw = _obj(d["sweep"], f"{context}.sweep")
-        start = _num(_get(sw, "start", f"{context}.sweep"), f"{context}.sweep.start")
-        stop = _num(_get(sw, "stop", f"{context}.sweep"), f"{context}.sweep.stop")
-        step = _num(_get(sw, "step", f"{context}.sweep"), f"{context}.sweep.step")
+        start, stop, step = (_num(sw, key, f"{context}.sweep") for key in ("start", "stop", "step"))
         if step <= 0:
             raise ConfigError(f"{context}.sweep.step: must be positive")
         if stop < start:
@@ -187,26 +185,19 @@ def load_config(path: str) -> RunConfig:
 
     sample = _parse_sample(_obj(_get(raw, "sample", "config"), "sample"))
     det_raw = _obj(raw.get("detector", {}), "detector")
-    detector = _build(
-        "detector",
-        DetectorModel,
-        eta1=_num(det_raw.get("eta1", 1.0), "detector.eta1"),
-        eta2=_num(det_raw.get("eta2", 1.0), "detector.eta2"),
-        accidental_rate=_num(det_raw.get("accidental_per_s", 0.0), "detector.accidental_per_s"),
-        visibility=_num(det_raw.get("visibility", 1.0), "detector.visibility"),
-    )
+    detector = _build("detector", DetectorModel,
+                      eta1=_num(det_raw, "eta1", "detector", 1.0),
+                      eta2=_num(det_raw, "eta2", "detector", 1.0),
+                      accidental_rate=_num(det_raw, "accidental_per_s", "detector", 0.0),
+                      visibility=_num(det_raw, "visibility", "detector", 1.0))
     scale_raw = _obj(_get(raw, "scale", "config"), "scale")
-    pair_rate = _num(_get(scale_raw, "pairs_per_s", "scale"), "scale.pairs_per_s")
-    scale = _build("scale.pairs_per_s", ExperimentScale, pair_rate=pair_rate)
+    scale = _build("scale.pairs_per_s", ExperimentScale, pair_rate=_num(scale_raw, "pairs_per_s", "scale"))
     plan = _parse_plan(_obj(_get(raw, "plan", "config"), "plan"))
     seed = _seed(raw.get("seed", 0), "seed")
     inst_raw = _obj(raw.get("instrument", {}), "instrument")
-    instrument = _build(
-        "instrument",
-        ClassicalInstrument,
-        gain_drift=_num(inst_raw.get("gain_drift", 1.0), "instrument.gain_drift"),
-        extinction=_num(inst_raw.get("extinction", 0.0), "instrument.extinction"),
-    )
+    instrument = _build("instrument", ClassicalInstrument,
+                        gain_drift=_num(inst_raw, "gain_drift", "instrument", 1.0),
+                        extinction=_num(inst_raw, "extinction", "instrument", 0.0))
     return RunConfig(
         sample=sample, detector=detector, scale=scale, plan=plan, seed=seed, instrument=instrument
     )
@@ -335,10 +326,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_fringe(args) -> int:
     cfg = load_config(args.config)
-    plan, sample = cfg.plan, cfg.sample
-    shape = rate_shape(analyzer_terms(plan.theta1, plan.theta2), sample.beta, sample.delta,
-                       cfg.detector.visibility)
-    rates = cfg.scale.detected_rate(cfg.detector) * shape
+    plan = cfg.plan
+    rates = coincidence_rate(cfg.scale.detected_rate(cfg.detector), cfg.sample, plan.theta1, plan.theta2,
+                             cfg.detector.visibility)
     text = _csv_text(FRINGE_HEADER, "%.6f,%.6f\n", (np.degrees(plan.theta1).tolist(), rates.tolist()))
     _write_text(text, args.out)
     return EXIT_OK
@@ -420,14 +410,10 @@ def cmd_estimate(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = load_config(args.config)
     classical_psi = classical_psi_estimate(cfg.sample, cfg.instrument)
-    c_eff = cfg.scale.detected_rate(cfg.detector)
     g = cfg.instrument.gain_drift
-    rates = [
-        g * coincidence_rate(c_eff, cfg.sample, math.radians(t1), math.radians(45.0),
-                             cfg.detector.visibility)
-        for t1 in (0.0, 45.0, 90.0)
-    ]
-    quantum = three_angle_invert(*rates)
+    rates = g * coincidence_rate(cfg.scale.detected_rate(cfg.detector), cfg.sample, np.radians([0.0, 45.0, 90.0]),
+                                 math.radians(45.0), cfg.detector.visibility)
+    quantum = three_angle_invert(*rates.tolist())
     report = {
         "version": __version__,
         "classical_psi_deg": math.degrees(classical_psi),
