@@ -348,9 +348,8 @@ def _ground_truth(args):
 
 
 def _estimate_report(estimate, records, det: DetectorModel, ground_truth) -> dict:
-    deg = 180.0 / math.pi
-    jac = np.diag([1.0, deg, deg])
-    cov_deg = jac @ estimate.covariance @ jac
+    to_deg = np.array([1.0, 180.0 / math.pi, 180.0 / math.pi])  # elementwise: no inf * 0 where var C overflows
+    cov_deg = estimate.covariance * to_deg[:, None] * to_deg
     t1, t2, dur, k = record_columns(records)
     shape = rate_shape(analyzer_terms(t1, t2), estimate.beta_hat, estimate.delta_mag_hat, det.visibility)
     residuals = k - (estimate.C_hat * shape + det.accidental_rate) * dur
@@ -402,6 +401,8 @@ def cmd_estimate(args) -> int:
                 raise
             estimate, failures = exc.estimate, [str(exc)]
     report = _estimate_report(estimate, records, det, ground_truth)
+    if not (failures or np.isfinite(report["cov"]).all()):
+        failures = ["covariance is not finite"]
     report["warnings"] += failures
     _write_json(report, args.out)
     return EXIT_NUMERIC if failures else EXIT_OK

@@ -81,9 +81,14 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
 
     Where |cos delta| < 1 the model then reproduces the three counts exactly,
     so this is the Poisson maximum-likelihood point and its covariance is
-    the inverse observed information, as for least_squares_fit.
+    the inverse observed information, as for least_squares_fit.  Raises
+    ValueError where a rate k/t - A is not finite.
     """
-    rate_0, rate_45, rate_90 = np.maximum(k / dur - det.accidental_rate, 0.0)
+    with np.errstate(over="ignore"):
+        rates = k / dur - det.accidental_rate
+    if not np.isfinite(rates).all():
+        raise ValueError("three-angle inversion: rates must be finite")
+    rate_0, rate_45, rate_90 = np.maximum(rates, 0.0)
     if not (rate_0 > 0 and rate_90 > 0):
         raise ValueError("eigenpolarization null: three-angle inversion undefined")
     if det.visibility == 0.0:
@@ -98,7 +103,7 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
     u = np.array([np.log(2.0 * rate_90), 0.5 * np.log(x), delta])
     with np.errstate(all="ignore"):
         hess = _nll_derivatives(u, _THREE_ANGLE_TERMS, dur, k, det)[2]
-    cov = _fisher_covariance(u, *np.linalg.eigh(hess))
+        cov = _fisher_covariance(u, *np.linalg.eigh(hess))
     if not cov[2, 2] * hess[2, 2] >= 0.5:
         # Were the delta direction kept, var * information would be >= 1. It
         # falls under the eigenvalue cutoff where delta carries no information
@@ -116,8 +121,6 @@ def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> Ellipso
     psi and delta are computed from the rate ratios only, so a common
     scale factor on all three inputs cannot move them.
     """
-    if not (math.isfinite(rate_0) and math.isfinite(rate_45) and math.isfinite(rate_90)):
-        raise ValueError("three-angle inversion: rates must be finite")
     if min(rate_0, rate_45, rate_90) < 0:
         raise ValueError("three-angle inversion: rates must be non-negative")
     return _three_angle(np.array([rate_0, rate_45, rate_90], dtype=float), 1.0, _UNIT_DETECTOR)
@@ -313,28 +316,27 @@ def least_squares_fit(
     """
     t1, t2, dur, k = record_columns(records)
     terms = np.array(analyzer_terms(t1, t2))
-    u0 = _linear_seed(terms, dur, k, det)  # also the identifiability checks
-    if init is not None:
-        beta0 = max(init.beta_hat, 1e-6)
-        u0 = np.array([np.log(max(init.C_hat, 1e-12)), np.log(beta0), init.delta_mag_hat])
-
     with np.errstate(all="ignore"):
+        u0 = _linear_seed(terms, dur, k, det)  # also the identifiability checks
+        if init is not None:
+            beta0 = max(init.beta_hat, 1e-6)
+            u0 = np.array([np.log(max(init.C_hat, 1e-12)), np.log(beta0), init.delta_mag_hat])
         u, (_, grad, hess), stop = _damped_newton(u0, terms, dur, k, det)
         delta = float(np.arccos(min(max(np.cos(u[2]), -1.0), 1.0)))
         if delta != u[2]:  # re-evaluated where folding onto [0, pi] moved it
             u = np.array([u[0], u[1], delta])
             _, grad, hess = _nll_derivatives(u, terms, dur, k, det)
+        if np.isfinite(hess).all():
+            w, v = np.linalg.eigh(hess)
+            covariance = _fisher_covariance(u, w, v)
+            nonzero = np.abs(w) > _EIG_CUTOFF * np.abs(w).max()
+            decrement = ((v.T @ grad)[nonzero] ** 2 / np.abs(w[nonzero])).sum()
+        else:
+            covariance, decrement = np.full((3, 3), np.nan), np.inf
 
     c_hat = float(np.exp(u[0]))
     beta = float(np.exp(u[1]))
     psi = float(np.arctan(beta * beta))
-    if np.isfinite(hess).all():
-        w, v = np.linalg.eigh(hess)
-        covariance = _fisher_covariance(u, w, v)
-        nonzero = np.abs(w) > _EIG_CUTOFF * np.abs(w).max()
-        decrement = ((v.T @ grad)[nonzero] ** 2 / np.abs(w[nonzero])).sum()
-    else:
-        covariance, decrement = np.full((3, 3), np.nan), np.inf
     estimate = EllipsometricEstimate(C_hat=c_hat, psi_hat=psi, delta_mag_hat=delta, covariance=covariance,
                                      method="least_squares")
     if not decrement <= _DECREMENT_TOL:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -225,6 +226,14 @@ class TestFringe:
         # mirror with V=0: constant rate, visibility zero
         assert max(rates) - min(rates) == pytest.approx(0.0, abs=1e-6)
 
+    def test_detected_rate_that_underflows_exits_4_as_baseline_does(self, tmp_path, capsys):
+        # pair rate * eta1 * eta2 = 1e-320 * 1e-4 rounds to 0: coincidence_rate has no rate to scale
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, scale={"pairs_per_s": 1e-320},
+                                          detector={"eta1": 0.01, "eta2": 0.01}))
+        assert run(["fringe", "--config", cfg]) == 4
+        assert run(["baseline", "--config", cfg]) == 4
+        assert capsys.readouterr().err == "numerical error: scale must be positive\n" * 2
+
 
 class TestEstimate:
     def three_angle_csv(self, tmp_path, n0, n45, n90):
@@ -406,6 +415,28 @@ class TestEstimate:
         report = json.loads(out.read_text())
         assert report["psi_deg"] == pytest.approx(90.0)
         assert report["warnings"] == ["psi ran to 90 deg: one polarization adds under one expected count"]
+
+    @pytest.mark.parametrize("method", ["fit", "three-angle"])
+    def test_overflowing_covariance_exits_4(self, tmp_path, capsys, method):
+        # C is about 2e163/s at a 1e-160 s dwell, so var C overflows while
+        # var psi and var delta do not; no RuntimeWarning may escape
+        path = tmp_path / "fast.csv"
+        path.write_text(COUNTS_HEADER + "\n" + "".join(
+            f"{t},45.0,1e-160,{k}\n" for t, k in ((0, 900), (45, 1700), (90, 1000), (135, 300))))
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(path), "--method", method, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["warnings"] == ["covariance is not finite"]
+        assert report["cov"][0][0] is None
+        assert report["cov"][1][1] > 0 and report["cov"][2][2] > 0
+
+    def test_three_angle_rates_that_overflow_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text(COUNTS_HEADER + "\n" + "".join(
+            f"{t},45.0,1e-300,{k}\n" for t, k in ((0, 9 * 10**18), (45, 5), (90, 7))))
+        assert run(["estimate", str(path), "--method", "three-angle"]) == 4
+        assert capsys.readouterr().err == "numerical error: three-angle inversion: rates must be finite\n"
 
     def test_zero_visibility_fit_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIRROR_CONFIG)
@@ -627,43 +658,42 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
-# Every numeric config read, as (sample or plan used, path to the field,
-# required).  The field's name in messages is the path written out.
-SECTIONS = {
-    "direct": {"type": "direct", "psi_deg": 30.0, "delta_deg": 100.0},
-    "interface": {"type": "interface", "n_ambient": 1.0, "angle_deg": 70.0,
-                  "substrate": {"n_re": 3.882, "n_im": 0.019}},
-    "stack": FILM_CONFIG["sample"],
-    "list": {"theta2_deg": 45.0, "theta1_list_deg": [0.0, 45.0, 90.0], "dwell_s": 1.0},
-}
+# Every numeric config read, as (config, path to the field, required).  The
+# field's name in messages is the path written out.
+WITH_INSTRUMENT = dict(MIRROR_CONFIG, instrument={"gain_drift": 1.0, "extinction": 0.0})
+DIRECT = dict(WITH_INSTRUMENT, sample={"type": "direct", "psi_deg": 30.0, "delta_deg": 100.0})
+INTERFACE = dict(WITH_INSTRUMENT, sample={"type": "interface", "n_ambient": 1.0, "angle_deg": 70.0,
+                                          "substrate": {"n_re": 3.882, "n_im": 0.019}})
+STACK = dict(WITH_INSTRUMENT, sample=FILM_CONFIG["sample"])
+LISTED = dict(WITH_INSTRUMENT, plan={"theta2_deg": 45.0, "theta1_list_deg": [0.0, 45.0, 90.0], "dwell_s": 1.0})
 NUMERIC_FIELDS = [
-    ("direct", ("sample", "psi_deg"), True),
-    ("direct", ("sample", "delta_deg"), True),
-    ("interface", ("sample", "n_ambient"), True),
-    ("interface", ("sample", "angle_deg"), True),
-    ("interface", ("sample", "substrate", "n_re"), True),
-    ("interface", ("sample", "substrate", "n_im"), False),
-    ("stack", ("sample", "wavelength_nm"), True),
-    ("stack", ("sample", "angle_deg"), True),
-    ("stack", ("sample", "n_ambient"), True),
-    ("stack", ("sample", "layers", 0, "n_re"), True),
-    ("stack", ("sample", "layers", 0, "n_im"), False),
-    ("stack", ("sample", "layers", 0, "d_nm"), True),
-    ("stack", ("sample", "substrate", "n_re"), True),
-    ("stack", ("sample", "substrate", "n_im"), False),
-    ("list", ("plan", "theta2_deg"), True),
-    ("list", ("plan", "dwell_s"), True),
-    ("list", ("plan", "theta1_list_deg", 1), False),
-    ("sweep", ("plan", "sweep", "start"), True),
-    ("sweep", ("plan", "sweep", "stop"), True),
-    ("sweep", ("plan", "sweep", "step"), True),
-    ("sweep", ("detector", "eta1"), False),
-    ("sweep", ("detector", "eta2"), False),
-    ("sweep", ("detector", "accidental_per_s"), False),
-    ("sweep", ("detector", "visibility"), False),
-    ("sweep", ("scale", "pairs_per_s"), True),
-    ("sweep", ("instrument", "gain_drift"), False),
-    ("sweep", ("instrument", "extinction"), False),
+    (DIRECT, ("sample", "psi_deg"), True),
+    (DIRECT, ("sample", "delta_deg"), True),
+    (INTERFACE, ("sample", "n_ambient"), True),
+    (INTERFACE, ("sample", "angle_deg"), True),
+    (INTERFACE, ("sample", "substrate", "n_re"), True),
+    (INTERFACE, ("sample", "substrate", "n_im"), False),
+    (STACK, ("sample", "wavelength_nm"), True),
+    (STACK, ("sample", "angle_deg"), True),
+    (STACK, ("sample", "n_ambient"), True),
+    (STACK, ("sample", "layers", 0, "n_re"), True),
+    (STACK, ("sample", "layers", 0, "n_im"), False),
+    (STACK, ("sample", "layers", 0, "d_nm"), True),
+    (STACK, ("sample", "substrate", "n_re"), True),
+    (STACK, ("sample", "substrate", "n_im"), False),
+    (LISTED, ("plan", "theta2_deg"), True),
+    (LISTED, ("plan", "dwell_s"), True),
+    (LISTED, ("plan", "theta1_list_deg", 1), False),
+    (WITH_INSTRUMENT, ("plan", "sweep", "start"), True),
+    (WITH_INSTRUMENT, ("plan", "sweep", "stop"), True),
+    (WITH_INSTRUMENT, ("plan", "sweep", "step"), True),
+    (WITH_INSTRUMENT, ("detector", "eta1"), False),
+    (WITH_INSTRUMENT, ("detector", "eta2"), False),
+    (WITH_INSTRUMENT, ("detector", "accidental_per_s"), False),
+    (WITH_INSTRUMENT, ("detector", "visibility"), False),
+    (WITH_INSTRUMENT, ("scale", "pairs_per_s"), True),
+    (WITH_INSTRUMENT, ("instrument", "gain_drift"), False),
+    (WITH_INSTRUMENT, ("instrument", "extinction"), False),
 ]
 
 
@@ -671,12 +701,9 @@ def field_name(path):
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
 
 
-def with_field(section, path, value=None):
-    """MIRROR_CONFIG with an instrument, the named sample or plan, and the
-    field at path set to value, or deleted when value is None."""
-    config = json.loads(json.dumps(dict(MIRROR_CONFIG, instrument={"gain_drift": 1.0, "extinction": 0.0})))
-    if section in SECTIONS:
-        config["plan" if section == "list" else "sample"] = json.loads(json.dumps(SECTIONS[section]))
+def with_field(config, path, value=None):
+    """A copy of config with the field at path set to value, or deleted when value is None."""
+    config = copy.deepcopy(config)
     parent = config
     for key in path[:-1]:
         parent = parent[key]
@@ -713,13 +740,13 @@ BOUNDARY_CASES = {
     "unreadable-csv": ("estimate", None, 3, "data error: cannot read {path}: "),
     "visibility-flag": ("estimate", (GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text(), 2,
                         "config error: detector flags: visibility must lie in [0, 1], got 1.5"),
-    **{f"{section}:{field_name(path)}-string": (
-        "simulate", with_field(section, path, "x"), 2,
+    **{f"{config['sample']['type']}:{field_name(path)}-string": (
+        "simulate", with_field(config, path, "x"), 2,
         f"config error: {field_name(path)}: expected a finite number, got 'x'")
-       for section, path, _ in NUMERIC_FIELDS},
-    **{f"{section}:{field_name(path)}-missing": (
-        "simulate", with_field(section, path), 2, f"config error: {field_name(path)}: missing required field")
-       for section, path, required in NUMERIC_FIELDS if required},
+       for config, path, _ in NUMERIC_FIELDS},
+    **{f"{config['sample']['type']}:{field_name(path)}-missing": (
+        "simulate", with_field(config, path), 2, f"config error: {field_name(path)}: missing required field")
+       for config, path, required in NUMERIC_FIELDS if required},
 }
 
 

@@ -252,6 +252,12 @@ class TestThreeAngleFromCounts:
         with pytest.raises(ValueError, match="unidentifiable"):
             three_angle_from_counts(recs, DetectorModel(visibility=0.0))
 
+    def test_rates_that_overflow_rejected(self):
+        # 9e18 counts in 1e-300 s: the rate is past the largest float
+        recs = [CountRecord(math.radians(t), THETA2, 1e-300, k) for t, k in ((0, 9 * 10**18), (45, 5), (90, 7))]
+        with pytest.raises(ValueError, match="rates must be finite"):
+            three_angle_from_counts(recs, DET)
+
 
 class TestSubtractAccidentals:
     def test_basic(self):
