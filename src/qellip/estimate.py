@@ -82,34 +82,34 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
     Where |cos delta| < 1 the model then reproduces the three counts exactly,
     so this is the Poisson maximum-likelihood point and its covariance is
     the inverse observed information, as for least_squares_fit.  Raises
-    ValueError where a rate k/t - A is not finite.
+    ValueError where a rate k/t - A, or C, is not finite.
     """
-    with np.errstate(over="ignore"):
-        rates = k / dur - det.accidental_rate
-    if not np.isfinite(rates).all():
-        raise ValueError("three-angle inversion: rates must be finite")
-    rate_0, rate_45, rate_90 = np.maximum(rates, 0.0)
-    if not (rate_0 > 0 and rate_90 > 0):
-        raise ValueError("eigenpolarization null: three-angle inversion undefined")
-    if det.visibility == 0.0:
-        raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
-    x = rate_0 / rate_90
-    y = rate_45 / rate_90
-    cos_d = (2.0 * y - x - 1.0) / (2.0 * np.sqrt(x)) / det.visibility
-    warnings = ()
-    if abs(cos_d) > 1.0 + _COS_OVERSHOOT:
-        warnings = ("inconsistent rates",)
-    delta = float(np.arccos(min(max(cos_d, -1.0), 1.0)))
-    u = np.array([np.log(2.0 * rate_90), 0.5 * np.log(x), delta])
     with np.errstate(all="ignore"):
-        hess = _nll_derivatives(u, _THREE_ANGLE_TERMS, dur, k, det)[2]
-        cov = _fisher_covariance(u, *np.linalg.eigh(hess))
-    if not cov[2, 2] * hess[2, 2] >= 0.5:
-        # Were the delta direction kept, var * information would be >= 1. It
-        # falls under the eigenvalue cutoff where delta carries no information
-        # (|cos delta| = 1, or within rounding): report the widest spread on [0, pi].
-        cov[2, 2] = np.pi**2 / 4
-    return EllipsometricEstimate(C_hat=float(2.0 * rate_90), psi_hat=float(np.arctan(x)), delta_mag_hat=delta,
+        rates = k / dur - det.accidental_rate
+        rate_0, rate_45, rate_90 = np.maximum(rates, 0.0)
+        x, c = rate_0 / rate_90, 2.0 * rate_90
+        if not (np.isfinite(rates).all() and np.isfinite(c)):
+            raise ValueError("three-angle inversion: rates must be finite")
+        if not 0 < x < np.inf:  # a null, or a ratio that under- or overflows
+            raise ValueError("eigenpolarization null: three-angle inversion undefined")
+        if det.visibility == 0.0:
+            raise ValueError("unidentifiable: delta does not enter the rate at visibility 0")
+        y = rate_45 / rate_90
+        cos_d = (2.0 * y - x - 1.0) / (2.0 * np.sqrt(x)) / det.visibility
+        warnings = ()
+        if abs(cos_d) > 1.0 + _COS_OVERSHOOT:
+            warnings = ("inconsistent rates",)
+        delta = float(np.arccos(min(max(cos_d, -1.0), 1.0)))
+        u = np.array([np.log(c), 0.5 * np.log(x), delta])
+        _, grad, hess = _nll_derivatives(u, _THREE_ANGLE_TERMS, dur, k, det)
+        cov = _at_optimum(u, grad, hess)[0]
+        if cov[2, 2] * hess[2, 2] < 0.5:
+            # Were the delta direction kept, var * information would be >= 1. It
+            # falls under the eigenvalue cutoff where delta carries no information
+            # (|cos delta| = 1, or within rounding): report the widest spread on [0, pi].
+            # The NaN covariance of a non-finite Hessian fails the test and stays NaN.
+            cov[2, 2] = np.pi**2 / 4
+    return EllipsometricEstimate(C_hat=float(c), psi_hat=float(np.arctan(x)), delta_mag_hat=delta,
                                  covariance=cov, method="three_angle", warnings=warnings)
 
 
@@ -240,20 +240,30 @@ def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
     cos_d = x[2] / (2.0 * np.sqrt(cb2 * c) * det.visibility)
     # Not near delta = 0 or pi: d nll/d delta goes as sin delta there.
     delta = min(max(np.arccos(min(max(cos_d, -1.0), 1.0)), np.pi / 12), 11 * np.pi / 12)
-    return np.array([np.log(c), 0.5 * np.log(cb2 / c), delta])
+    u = np.array([np.log(c), 0.5 * np.log(cb2 / c), delta])
+    if not np.isfinite(u).all():  # e.g. A t overflows
+        raise FitError("cannot seed fit: the linear model of the counts is not finite")
+    return u
 
 
-def _fisher_covariance(u, w, v) -> np.ndarray:
-    """Inverse observed Fisher information over (C, psi, delta) at the optimum u:
-    S S^T with S = J V / sqrt(w) over the eigenpairs (w, V) of the NLL's
-    Hessian H in u with w > _EIG_CUTOFF max|w|, and J = d(C, psi, delta)/du =
-    diag(C, sin 2psi, 1) (the gradient term of this change of coordinates is
-    0 there).  That is J H^+ J where H is PSD; where it is indefinite (the
-    model does not fit the counts) its negative directions are dropped before J."""
+def _at_optimum(u, grad, hess):
+    """Covariance over (C, psi, delta) and Newton decrement at the optimum u,
+    from one eigendecomposition (w, V) of the NLL's Hessian H in u.  The
+    covariance is S S^T with S = J V / sqrt(w) over w > _EIG_CUTOFF max|w|
+    and J = d(C, psi, delta)/du = diag(C, sin 2psi, 1) (its gradient term is
+    0 at an optimum): J H^+ J where H is PSD, with the negative directions of
+    an indefinite H (a model that does not fit the counts) dropped before J.
+    The decrement is sum (v^T grad)^2 / |w| over |w| > _EIG_CUTOFF max|w|.
+    A non-finite H gives a NaN covariance and an infinite decrement."""
+    if not np.isfinite(hess).all():
+        return np.full((3, 3), np.nan), np.inf
+    w, v = np.linalg.eigh(hess)
+    cutoff = _EIG_CUTOFF * np.abs(w).max()
     jac = np.array([np.exp(u[0]), 1.0 / np.cosh(2.0 * u[1]), 1.0])
-    kept = w > _EIG_CUTOFF * np.abs(w).max()
+    kept = w > cutoff
     s = jac[:, None] * v[:, kept] / np.sqrt(w[kept])
-    return s @ s.T
+    nonzero = np.abs(w) > cutoff
+    return s @ s.T, ((v.T @ grad)[nonzero] ** 2 / np.abs(w[nonzero])).sum()
 
 
 def _damped_newton(u, terms, dur, k, det: DetectorModel):
@@ -306,9 +316,8 @@ def least_squares_fit(
 
     Seeded from the linear model of the counts (or from `init`), stepped
     by _damped_newton on the exact Hessian, and accepted when the Newton
-    decrement sum (v^T g)^2 / |w|, over its eigenpairs (w, V) with |w| >
-    _EIG_CUTOFF max|w|, is at most _DECREMENT_TOL.  The covariance is
-    _fisher_covariance there.
+    decrement of _at_optimum is at most _DECREMENT_TOL; the covariance is
+    _at_optimum's there.
     Raises FitError (carrying the best iterate) on non-convergence or when
     psi runs to 0 or 90 deg, where one polarization adds under one
     expected count and the covariance means nothing; raises ValueError on
@@ -326,13 +335,7 @@ def least_squares_fit(
         if delta != u[2]:  # re-evaluated where folding onto [0, pi] moved it
             u = np.array([u[0], u[1], delta])
             _, grad, hess = _nll_derivatives(u, terms, dur, k, det)
-        if np.isfinite(hess).all():
-            w, v = np.linalg.eigh(hess)
-            covariance = _fisher_covariance(u, w, v)
-            nonzero = np.abs(w) > _EIG_CUTOFF * np.abs(w).max()
-            decrement = ((v.T @ grad)[nonzero] ** 2 / np.abs(w[nonzero])).sum()
-        else:
-            covariance, decrement = np.full((3, 3), np.nan), np.inf
+        covariance, decrement = _at_optimum(u, grad, hess)
 
     c_hat = float(np.exp(u[0]))
     beta = float(np.exp(u[1]))

@@ -16,6 +16,7 @@ Conventions (see README for the interop notes):
     and all magnitudes unchanged.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,23 +94,31 @@ class FilmStack:
     n_substrate: complex
 
     def __post_init__(self):
+        for name in ("wavelength", "incidence_angle", "n_ambient"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (np.isfinite(self.wavelength) and self.wavelength > 0):
             raise ValueError("wavelength must be positive")
         if not (0.0 <= self.incidence_angle < np.pi / 2):
             raise ValueError("incidence_angle must lie in [0, pi/2)")
         if not (np.isfinite(self.n_ambient) and self.n_ambient > 0):
             raise ValueError("n_ambient must be positive")
-        layers = tuple((_index(n, "layer indices"), float(d)) for n, d in self.layers)
-        for _, d in layers:
-            if not (np.isfinite(d) and d >= 0):
+        try:
+            pairs = [(n, d) for n, d in self.layers]
+        except (TypeError, ValueError):  # a layer, or layers itself, that does not unpack into two
+            raise ValueError("each layer must be an (index, thickness) pair") from None
+        for _, d in pairs:
+            if not (isinstance(d, numbers.Real) and np.isfinite(d) and d >= 0):
                 raise ValueError("layer thicknesses must be finite and >= 0")
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layers", tuple((_index(n, "layer indices"), float(d)) for n, d in pairs))
         object.__setattr__(self, "n_substrate", _index(self.n_substrate, "substrate index"))
 
 
 def _index(n, name: str) -> complex:
     """A layer or substrate index as a complex with Im(n) >= 0; the stack's
     admittances divide by it."""
+    if not isinstance(n, numbers.Number):
+        raise ValueError(f"{name} must be a number, got {n!r}")
     n = complex(n)
     if not (np.isfinite(n.real) and np.isfinite(n.imag)) or n == 0:
         raise ValueError(f"{name} must be finite and non-zero")

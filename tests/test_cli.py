@@ -438,6 +438,24 @@ class TestEstimate:
         assert run(["estimate", str(path), "--method", "three-angle"]) == 4
         assert capsys.readouterr().err == "numerical error: three-angle inversion: rates must be finite\n"
 
+    def test_three_angle_ratio_that_underflows_exits_4(self, tmp_path, capsys):
+        # rates 4e-175, 3.7e183 and 7.7e259 are finite, but r_0 / r_90 rounds to 0
+        path = tmp_path / "degenerate.csv"
+        path.write_text(COUNTS_HEADER + "\n" + "".join(
+            f"{t},45.0,{d},{k}\n" for t, d, k in ((0, 1e175, 4), (45, 1e-177, 3667006), (90, 1e-253, 7666004))))
+        assert run(["estimate", str(path), "--method", "three-angle"]) == 4
+        assert capsys.readouterr().err == "numerical error: eigenpolarization null: three-angle inversion undefined\n"
+
+    def test_non_finite_linear_seed_exits_4(self, tmp_path, capsys):
+        # A t = 1e310 overflows: no report of null estimates
+        path = tmp_path / "seed.csv"
+        path.write_text(COUNTS_HEADER + "\n" + "".join(f"{t},45.0,1e10,100\n" for t in (0, 45, 90, 135)))
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(path), "--accidental-per-s", "1e300", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: cannot seed fit: the linear model of the counts is not finite\n")
+        assert not out.exists()
+
     def test_zero_visibility_fit_exits_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MIRROR_CONFIG)
         counts = tmp_path / "counts.csv"
@@ -565,6 +583,14 @@ class TestBaseline:
         assert report["classical_psi_deg"] == pytest.approx(44.433, abs=1e-3)
         assert report["quantum_psi_deg"] == pytest.approx(45.0, abs=1e-6)
         assert report["true_psi_deg"] == pytest.approx(45.0, abs=1e-9)
+
+    def test_rates_that_overflow_exit_4(self, tmp_path, capsys):
+        # gain_drift * rate overflows; numpy's overflow warning may not escape
+        config = dict(MIRROR_CONFIG, scale={"pairs_per_s": 1e308}, instrument={"gain_drift": 2.0, "extinction": 0.0})
+        out = tmp_path / "baseline.json"
+        assert run(["baseline", "--config", write_config(tmp_path, config), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "numerical error: three-angle inversion: rates must be finite\n"
+        assert not out.exists()
 
     def test_perfect_instrument_all_equal(self, tmp_path):
         cfg = write_config(tmp_path, MIRROR_CONFIG)

@@ -24,7 +24,7 @@ from qellip import (
     three_angle_invert,
 )
 import qellip.estimate
-from qellip.estimate import _fisher_covariance, _nll_derivatives, fit_negative_log_likelihood
+from qellip.estimate import _at_optimum, _nll_derivatives, fit_negative_log_likelihood
 from qellip.experiment import analyzer_terms, record_columns
 
 DET = DetectorModel()
@@ -116,6 +116,11 @@ class TestThreeAngleInvert:
             three_angle_invert(0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="eigenpolarization null"):
             three_angle_invert(1.0, 1.0, 0.0)
+        # r_0 / r_90 under- or overflows: log(0) or log(inf) reached eigh
+        with pytest.raises(ValueError, match="eigenpolarization null"):
+            three_angle_invert(1e-200, 1e100, 1e200)
+        with pytest.raises(ValueError, match="eigenpolarization null"):
+            three_angle_invert(1e200, 1e100, 1e-200)
 
     @pytest.mark.parametrize("rates", [(-1.0, 0.5, 1.0), (1.0, -0.5, 1.0), (1.0, 0.5, -1.0)])
     def test_negative_rates_rejected(self, rates):
@@ -128,7 +133,9 @@ class TestThreeAngleInvert:
 
     @pytest.mark.parametrize(
         "rates",
-        [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf)],
+        # the last: finite rates whose C = 2 r_90 overflows
+        [(1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf),
+         (1e308, 1e308, 1.7e308)],
     )
     def test_non_finite_rates_rejected(self, rates):
         with pytest.raises(ValueError, match="rates must be finite"):
@@ -185,6 +192,13 @@ class TestThreeAngleInvert:
         assert np.linalg.matrix_rank(cov) == 2
         np.testing.assert_allclose(np.diag(cov), [0.00773793, 0.0333476, 1.58668724], rtol=1e-5)
 
+    def test_non_finite_hessian_gives_a_nan_covariance(self):
+        # the Hessian at these rates is not finite; eigh gave a LinAlgError there,
+        # and the delta edge rule may not fill in var delta
+        est = three_angle_invert(1e-300, 1e150, 1e18)
+        assert est.C_hat == 2e18
+        assert np.isnan(est.covariance).all()
+
     def test_huge_rates_give_the_poisson_variances(self):
         # var(rate) = rate: var C = 4 r and var psi = 1 / (2 r) at equal rates r
         est = three_angle_invert(1e300, 1e300, 1e300)
@@ -205,7 +219,7 @@ class TestFisherCovariance:
         q = np.linalg.qr(np.reshape(basis, (3, 3)))[0]
         w = np.array([0.0 if e is None else 10.0 ** (log_scale + e) for e in exponents])
         hess = (q * w) @ q.T
-        cov = _fisher_covariance(np.array(u), *np.linalg.eigh(hess))
+        cov = _at_optimum(np.array(u), np.zeros(3), hess)[0]
         np.testing.assert_array_equal(cov, cov.T)
         jac = np.array([math.exp(u[0]), 1.0 / math.cosh(2.0 * u[1]), 1.0])
         hess_pinv = np.linalg.pinv(hess)
@@ -397,6 +411,13 @@ class TestLeastSquaresFit:
         recs = [CountRecord(math.radians(t), THETA2, 1.0, 0) for t in range(0, 180, 15)]
         with pytest.raises(FitError, match="cannot seed fit: no counts") as excinfo:
             least_squares_fit(recs, DET)
+        assert excinfo.value.estimate is None
+
+    def test_non_finite_linear_seed_cannot_seed(self):
+        # A t = 1e310 overflows, so the linear model's solution is NaN
+        recs = [CountRecord(math.radians(t), THETA2, 1e10, 100) for t in (0, 45, 90, 135)]
+        with pytest.raises(FitError, match="cannot seed fit: the linear model of the counts is not finite") as excinfo:
+            least_squares_fit(recs, DetectorModel(accidental_rate=1e300))
         assert excinfo.value.estimate is None
 
     @pytest.mark.parametrize("counts, psi_deg", [((1000, 500, 0, 500), 90.0), ((0, 500, 1000, 500), 0.0)])

@@ -170,12 +170,32 @@ class TestFilmStack:
             FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=1.0,
                       layers=((1.5, -1e-9),), n_substrate=1.5)
 
-    @pytest.mark.parametrize("thickness", [math.nan, math.inf])
+    @pytest.mark.parametrize("thickness", [math.nan, math.inf, 100e-9 + 0j])
     def test_non_finite_thickness_rejected(self, thickness):
         # NaN slipped past a d < 0 test and reached the Airy sum
         with pytest.raises(ValueError, match="thicknesses must be finite"):
             FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=1.0,
                       layers=((1.5, thickness),), n_substrate=1.5)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_ambient": 1 + 0j}, "n_ambient must be a real number"),
+            ({"incidence_angle": "0.5"}, "incidence_angle must be a real number"),
+            ({"wavelength": "633e-9"}, "wavelength must be a real number"),
+            ({"layers": ((1.5,),)}, "each layer must be an"),
+            ({"layers": (1.5,)}, "each layer must be an"),
+            ({"layers": ((None, 100e-9),)}, "layer indices must be a number"),
+            ({"n_substrate": "1.5"}, "substrate index must be a number"),
+        ],
+        ids=["complex-ambient", "string-angle", "string-wavelength", "one-value-layer", "bare-number-layer",
+             "none-layer-index", "string-substrate"],
+    )
+    def test_wrong_types_rejected(self, fields, message):
+        # each raised a bare TypeError, an unlabelled unpacking error, or was parsed from a string
+        kwargs = dict(wavelength=633e-9, incidence_angle=0.5, n_ambient=1.0, layers=(), n_substrate=1.5)
+        with pytest.raises(ValueError, match=message):
+            FilmStack(**dict(kwargs, **fields))
 
     @pytest.mark.parametrize("n_substrate", [math.nan, complex(1.5, math.inf), 0.0, 0j])
     def test_bad_substrate_index_rejected(self, n_substrate):
