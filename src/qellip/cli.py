@@ -20,14 +20,13 @@ from .classical import ClassicalInstrument, classical_psi_estimate
 from .estimate import FitError, least_squares_fit, three_angle_from_counts, three_angle_invert
 from .experiment import (
     AcquisitionPlan,
-    CountRecord,
     CountTable,
     DetectorModel,
     ExperimentScale,
     analyzer_terms,
     coincidence_rate,
     count_table,
-    rate_shape,
+    mean_counts,
     record_columns,
     simulate_counts,
 )
@@ -35,7 +34,6 @@ from .samples import (
     FilmStack,
     SampleParams,
     film_stack_reflectance,
-    fresnel_interface,
     psi_delta_from_coeffs,
 )
 
@@ -117,29 +115,23 @@ def _parse_sample(d, context="sample") -> SampleParams:
         return _build(context, SampleParams, psi=psi, delta=delta)
     if kind == "mirror":
         return SampleParams.mirror()
-    if kind == "interface":
-        n_amb = _num(d, "n_ambient", context)
-        angle = math.radians(_num(d, "angle_deg", context))
-        n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
-        pair = _build(context, fresnel_interface, n_ambient=n_amb, n_substrate=n_sub, angle=angle)
-    elif kind == "stack":
-        wavelength = _num(d, "wavelength_nm", context) * 1e-9
-        angle = math.radians(_num(d, "angle_deg", context))
-        n_amb = _num(d, "n_ambient", context)
-        raw_layers = d.get("layers", [])
-        if not isinstance(raw_layers, list):
-            raise ConfigError(f"{context}.layers: expected a list")
-        layers = []
-        for i, layer in enumerate(raw_layers):
-            lc = f"{context}.layers[{i}]"
-            layers.append((_complex_index(layer, lc), _num(layer, "d_nm", lc) * 1e-9))
-        n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
-        stack = _build(context, FilmStack, wavelength=wavelength, incidence_angle=angle,
-                       n_ambient=n_amb, layers=tuple(layers), n_substrate=n_sub)
-        pair = _build(context, film_stack_reflectance, stack=stack)
-    else:
+    if kind not in ("interface", "stack"):
         raise ConfigError(f"{context}.type: unknown sample type {kind!r}")
-    return _build(context, psi_delta_from_coeffs, pair=pair)
+    # An interface is a stack with no layers, where the wavelength drops out.
+    wavelength = _num(d, "wavelength_nm", context) * 1e-9 if kind == "stack" else 1.0
+    angle = math.radians(_num(d, "angle_deg", context))
+    n_amb = _num(d, "n_ambient", context)
+    raw_layers = d.get("layers", []) if kind == "stack" else []
+    if not isinstance(raw_layers, list):
+        raise ConfigError(f"{context}.layers: expected a list")
+    layers = []
+    for i, layer in enumerate(raw_layers):
+        lc = f"{context}.layers[{i}]"
+        layers.append((_complex_index(layer, lc), _num(layer, "d_nm", lc) * 1e-9))
+    n_sub = _complex_index(_get(d, "substrate", context), f"{context}.substrate")
+    stack = _build(context, FilmStack, wavelength=wavelength, incidence_angle=angle,
+                   n_ambient=n_amb, layers=tuple(layers), n_substrate=n_sub)
+    return _build(context, psi_delta_from_coeffs, pair=_build(context, film_stack_reflectance, stack=stack))
 
 
 def _parse_plan(d, context="plan") -> AcquisitionPlan:
@@ -192,6 +184,7 @@ def load_config(path: str) -> RunConfig:
                       visibility=_num(det_raw, "visibility", "detector", 1.0))
     scale_raw = _obj(_get(raw, "scale", "config"), "scale")
     scale = _build("scale.pairs_per_s", ExperimentScale, pair_rate=_num(scale_raw, "pairs_per_s", "scale"))
+    _build("scale.pairs_per_s", scale.detected_rate, det=detector)
     plan = _parse_plan(_obj(_get(raw, "plan", "config"), "plan"))
     seed = _seed(raw.get("seed", 0), "seed")
     inst_raw = _obj(raw.get("instrument", {}), "instrument")
@@ -310,7 +303,7 @@ def _first_bad_line(lines):
             return DataError(f"line {lineno}: expected 4 comma-separated fields")
         try:
             t1, t2, dwell, counts = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
-            CountRecord(theta1=math.radians(t1), theta2=math.radians(t2), duration=dwell, counts=counts)
+            CountTable([math.radians(t1)], [math.radians(t2)], [dwell], [counts])
         except ValueError as exc:
             return DataError(f"line {lineno}: {exc}")
     return None
@@ -351,8 +344,8 @@ def _estimate_report(estimate, records, det: DetectorModel, ground_truth) -> dic
     to_deg = np.array([1.0, 180.0 / math.pi, 180.0 / math.pi])  # elementwise: no inf * 0 where var C overflows
     cov_deg = estimate.covariance * to_deg[:, None] * to_deg
     t1, t2, dur, k = record_columns(records)
-    shape = rate_shape(analyzer_terms(t1, t2), estimate.beta_hat, estimate.delta_mag_hat, det.visibility)
-    residuals = k - (estimate.C_hat * shape + det.accidental_rate) * dur
+    residuals = k - mean_counts(analyzer_terms(t1, t2), dur, estimate.C_hat, estimate.beta_hat,
+                                estimate.delta_mag_hat, det)
     return {
         "version": __version__,
         "method": estimate.method,

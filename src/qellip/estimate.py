@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment import DetectorModel, analyzer_terms, rate_shape, record_columns
+from .experiment import DetectorModel, analyzer_terms, mean_counts, record_columns
 
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
 ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angle setting
@@ -197,8 +197,7 @@ def _nll_derivatives(u, terms, dur, k, det: DetectorModel):
     b2, x = b * b, 2.0 * det.visibility * b * cos_d
     m = np.array([[b2, 1.0, x], [2.0 * b2, 0.0, x], [0.0, 0.0, -2.0 * det.visibility * b * sin_d]])
 
-    s = rate_shape(terms, b, u[2], det.visibility)
-    mu = (c * s + det.accidental_rate) * dur
+    mu = mean_counts(terms, dur, c, b, u[2], det)
     mu_safe = np.maximum(mu, 1e-300)
     nll = float((mu - k - k * np.log(mu_safe / np.maximum(k, 1))).sum())
     cd = c * dur

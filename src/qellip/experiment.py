@@ -5,8 +5,9 @@ a reflective sample in the signal arm, detector/accidental effects, and
 shot-noise (Poisson) count generation with a counter-based RNG so every
 record is reproducible independently of the others.
 
-The rate formula lives in `analyzer_terms` and `rate_shape` only; the
-simulator, the estimators and the CLI report all evaluate it there.
+The rate formula lives in `analyzer_terms` and `rate_shape`, the mean count
+in `mean_counts` and the settings rule in `_settings_columns` only; the
+simulator, the estimators and the CLI report all evaluate them there.
 """
 
 import math
@@ -49,14 +50,28 @@ class ExperimentScale:
             raise ValueError("pair_rate must be positive")
 
     def detected_rate(self, det: DetectorModel) -> float:
-        """Effective rate constant C = pair_rate * eta1 * eta2."""
-        return self.pair_rate * det.eta1 * det.eta2
+        """Effective rate constant C = pair_rate * eta1 * eta2, which must not round to 0."""
+        rate = self.pair_rate * det.eta1 * det.eta2
+        if rate == 0.0:
+            raise ValueError("detected rate pair_rate * eta1 * eta2 rounds to 0")
+        return rate
 
 
 def _read_only(values) -> np.ndarray:
     arr = np.array(values)
     arr.setflags(write=False)
     return arr
+
+
+def _settings_columns(theta1, theta2, duration):
+    """theta1, theta2 and duration as float arrays, by the rule AcquisitionPlan
+    and CountTable share: finite angles, and a finite dwell above 0."""
+    theta1, theta2, duration = (np.array(c, dtype=float) for c in (theta1, theta2, duration))
+    if not (np.all(np.isfinite(theta1)) and np.all(np.isfinite(theta2))):
+        raise ValueError("analyzer angles must be finite")
+    if not np.all(np.isfinite(duration) & (duration > 0)):
+        raise ValueError("duration must be finite and positive")
+    return theta1, theta2, duration
 
 
 class AcquisitionPlan:
@@ -74,20 +89,11 @@ class AcquisitionPlan:
             raise ValueError("acquisition plan must be non-empty")
         if cols.ndim != 2 or cols.shape[1] != 3:
             raise ValueError("settings must be (theta1, theta2, duration) triples")
-        if not np.all(np.isfinite(cols[:, :2])):
-            raise ValueError("analyzer angles must be finite")
-        if not np.all(np.isfinite(cols[:, 2]) & (cols[:, 2] > 0)):
-            raise ValueError("durations must be positive")
-        for name, col in zip(self.__slots__, cols.T):
+        for name, col in zip(self.__slots__, _settings_columns(*cols.T)):
             object.__setattr__(self, name, _read_only(col))
 
     def __setattr__(self, name, value):
         raise AttributeError("AcquisitionPlan is immutable")
-
-    @property
-    def settings(self) -> tuple:
-        """The settings as a tuple of (theta1, theta2, duration) float triples."""
-        return tuple(zip(self.theta1.tolist(), self.theta2.tolist(), self.duration.tolist()))
 
     def __len__(self) -> int:
         return len(self.theta1)
@@ -136,14 +142,10 @@ class CountTable(Sequence):
     __slots__ = ("theta1", "theta2", "duration", "counts")
 
     def __new__(cls, theta1, theta2, duration, counts):
-        theta1, theta2, duration = (np.array(c, dtype=float) for c in (theta1, theta2, duration))
+        theta1, theta2, duration = _settings_columns(theta1, theta2, duration)
         counts = _checked_counts(counts)
         if not theta1.shape == theta2.shape == duration.shape == counts.shape or theta1.ndim != 1:
             raise ValueError("columns must be one-dimensional and of equal length")
-        if not (np.all(np.isfinite(theta1)) and np.all(np.isfinite(theta2))):
-            raise ValueError("analyzer angles must be finite")
-        if not np.all(np.isfinite(duration) & (duration > 0)):
-            raise ValueError("duration must be finite and positive")
         return cls._trusted(theta1, theta2, duration, counts)
 
     @classmethod
@@ -219,6 +221,12 @@ def rate_shape(terms, beta, delta, visibility):
     return np.maximum(beta * beta * a + bb + 2.0 * visibility * beta * np.cos(delta) * cross, 0.0)
 
 
+def mean_counts(terms, duration, c, beta, delta, det: DetectorModel):
+    """Mean counts (c s + A) t: s the `rate_shape` of the `analyzer_terms`, A the
+    accidental rate.  Simulation, the fit and the report residuals all use it."""
+    return (c * rate_shape(terms, beta, delta, det.visibility) + det.accidental_rate) * duration
+
+
 def coincidence_rate(
     scale: float,
     params: SampleParams,
@@ -253,8 +261,8 @@ def expected_counts(
     a constant background rate.  Means are >= 0, and exactly 0 at an
     analyzer null without accidentals.
     """
-    shape = rate_shape(analyzer_terms(plan.theta1, plan.theta2), params.beta, params.delta, det.visibility)
-    return (scale.detected_rate(det) * shape + det.accidental_rate) * plan.duration
+    return mean_counts(analyzer_terms(plan.theta1, plan.theta2), plan.duration, scale.detected_rate(det),
+                       params.beta, params.delta, det)
 
 
 def simulate_counts(

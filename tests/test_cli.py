@@ -226,13 +226,14 @@ class TestFringe:
         # mirror with V=0: constant rate, visibility zero
         assert max(rates) - min(rates) == pytest.approx(0.0, abs=1e-6)
 
-    def test_detected_rate_that_underflows_exits_4_as_baseline_does(self, tmp_path, capsys):
-        # pair rate * eta1 * eta2 = 1e-320 * 1e-4 rounds to 0: coincidence_rate has no rate to scale
+    def test_detected_rate_that_underflows_is_a_config_error(self, tmp_path, capsys):
+        # pair rate * eta1 * eta2 = 1e-320 * 1e-4 rounds to 0: no command has a rate to scale
         cfg = write_config(tmp_path, dict(MIRROR_CONFIG, scale={"pairs_per_s": 1e-320},
                                           detector={"eta1": 0.01, "eta2": 0.01}))
-        assert run(["fringe", "--config", cfg]) == 4
-        assert run(["baseline", "--config", cfg]) == 4
-        assert capsys.readouterr().err == "numerical error: scale must be positive\n" * 2
+        for command in ("simulate", "fringe", "baseline"):
+            assert run([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scale.pairs_per_s: detected rate pair_rate * eta1 * eta2 rounds to 0\n" * 3)
 
 
 class TestEstimate:
@@ -637,6 +638,19 @@ class TestConfigSamples:
         cfg = write_config(tmp_path, config)
         out = tmp_path / "counts.csv"
         assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "fringe"])
+    def test_interface_is_a_stack_without_layers(self, tmp_path, command):
+        interface = {"type": "interface", "n_ambient": 1.0, "angle_deg": 70.0,
+                     "substrate": {"n_re": 3.882, "n_im": 0.019}}
+        stack = dict(interface, type="stack", wavelength_nm=632.8, layers=[])
+        outputs = []
+        for name, sample in (("interface", interface), ("stack", stack)):
+            cfg = write_config(tmp_path, dict(FILM_CONFIG, sample=sample), name=f"{name}.json")
+            out = tmp_path / f"{name}.csv"
+            assert run([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("kind", ["stack", "interface"])
     def test_zero_substrate_index_exits_2(self, tmp_path, capsys, kind):

@@ -212,6 +212,16 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR, seed=-1)
 
+    def test_detected_rate_that_rounds_to_0_is_rejected(self):
+        # 1e-320 * 0.01 * 0.01 underflows: no plan of zero counts from a positive pair rate
+        plan = AcquisitionPlan(((0.0, math.pi / 2, 1.0),))
+        scale, det = ExperimentScale(1e-320), DetectorModel(eta1=0.01, eta2=0.01)
+        message = r"^detected rate pair_rate \* eta1 \* eta2 rounds to 0$"
+        for call in (lambda: scale.detected_rate(det), lambda: expected_counts(plan, scale, det, MIRROR),
+                     lambda: simulate_counts(plan, scale, det, MIRROR, seed=0)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestVisibility:
     def test_mirror_full_visibility(self):
@@ -283,9 +293,11 @@ def test_plan_validation():
 def test_plan_columns_and_settings_view():
     plan = AcquisitionPlan(((0.1, 0.2, 1.0), (0.3, 0.4, 2)))
     assert len(plan) == 2
-    assert AcquisitionPlan(iter(plan.settings)).settings == plan.settings
-    np.testing.assert_array_equal(plan.duration, [1.0, 2.0])
-    assert plan.settings == ((0.1, 0.2, 1.0), (0.3, 0.4, 2.0))
+    from_iter = AcquisitionPlan(iter([(0.1, 0.2, 1.0), (0.3, 0.4, 2)]))
+    for name, want in (("theta1", [0.1, 0.3]), ("theta2", [0.2, 0.4]), ("duration", [1.0, 2.0])):
+        assert getattr(plan, name).dtype == np.float64
+        np.testing.assert_array_equal(getattr(plan, name), want)
+        np.testing.assert_array_equal(getattr(from_iter, name), want)
     with pytest.raises(ValueError):
         plan.theta1[0] = 1.0
     with pytest.raises(AttributeError):
@@ -344,3 +356,27 @@ class TestCountTable:
             CountTable(*zip(*rows))
         with pytest.raises(ValueError):
             CountRecord(*rows[1])
+
+    def test_bad_angle_is_reported_before_a_bad_count(self):
+        # the order CountRecord checks in: angles, dwell, then counts
+        rows = [list(row) for row in self.ROWS]
+        rows[1][0], rows[1][3] = math.nan, -1
+        for make in (lambda: CountTable(*zip(*rows)), lambda: CountRecord(*rows[1])):
+            with pytest.raises(ValueError, match="^analyzer angles must be finite$"):
+                make()
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [(0, math.nan, "analyzer angles must be finite"), (1, math.inf, "analyzer angles must be finite"),
+     (1, -math.inf, "analyzer angles must be finite"), (2, 0.0, "duration must be finite and positive"),
+     (2, -1.0, "duration must be finite and positive"), (2, math.nan, "duration must be finite and positive"),
+     (2, math.inf, "duration must be finite and positive")],
+)
+def test_plan_and_table_reject_a_bad_setting_alike(column, value, message):
+    settings = [[0.1, 0.2, 1.0], [0.3, 0.4, 2.0]]
+    settings[1][column] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AcquisitionPlan(settings)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CountTable(*zip(*settings), [5, 7])
