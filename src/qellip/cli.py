@@ -252,21 +252,33 @@ def _write_json(report: dict, out_path):
     _write_text(head + key + _residual_block(residuals) + tail[len("[]"):] + "\n", out_path)
 
 
-def _csv_text(header: str, row_format: str, columns) -> str:
-    """The header line, then row_format % row for each row of the equal-length
-    column lists, formatted in one C-level pass over the interleaved columns."""
-    n, width = len(columns[0]), len(columns)
-    flat = [0] * (n * width)
-    for j, column in enumerate(columns):
-        flat[j::width] = column
-    return header + "\n" + (row_format * n) % tuple(flat)
+def _csv_text(header: str, formats, columns) -> str:
+    """The header line, then one line per row of the equal-length column
+    arrays, each field written by its % format and the fields joined by
+    commas, in one C-level pass over the interleaved columns.
+
+    A column whose values are all equal bitwise (so -0.0 and 0.0 stay apart)
+    is written once and baked into the row format.
+    """
+    n = len(columns[0])
+    fields, varying = [], []
+    for fmt, column in zip(formats, columns):
+        bits = column.view(np.uint64)  # float64 and int64 columns
+        if n and (bits == bits[0]).all():
+            fields.append((fmt % column[0].item()).replace("%", "%%"))
+        else:
+            fields.append(fmt)
+            varying.append(column.tolist())
+    flat = [0] * (n * len(varying))
+    for j, column in enumerate(varying):
+        flat[j::len(varying)] = column
+    return header + "\n" + ((",".join(fields) + "\n") * n) % tuple(flat)
 
 
 def counts_csv(records) -> str:
     table = count_table(records)
-    return _csv_text(COUNTS_HEADER, "%.6f,%.6f,%.6f,%d\n",
-                     (np.degrees(table.theta1).tolist(), np.degrees(table.theta2).tolist(),
-                      table.duration.tolist(), table.counts.tolist()))
+    return _csv_text(COUNTS_HEADER, ("%.6f", "%.6f", "%.6f", "%d"),
+                     (np.degrees(table.theta1), np.degrees(table.theta2), table.duration, table.counts))
 
 
 def parse_counts_csv(text: str) -> CountTable:
@@ -294,19 +306,48 @@ def parse_counts_csv(text: str) -> CountTable:
 
 
 def _first_bad_line(lines):
-    """A DataError naming the first data line that is not a valid record, or None."""
+    """A DataError naming the first data line that is not a valid record, or None.
+
+    The lines are read once, up to the first that does not split into four
+    fields that float() and int() read.  The first row before it that
+    CountTable rejects is then found by bisecting slices of the columns.
+    """
+    linenos, rows, error = [], [], None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            return DataError(f"line {lineno}: expected 4 comma-separated fields")
+            error = DataError(f"line {lineno}: expected 4 comma-separated fields")
+            break
         try:
-            t1, t2, dwell, counts = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
-            CountTable([math.radians(t1)], [math.radians(t2)], [dwell], [counts])
+            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])))
         except ValueError as exc:
-            return DataError(f"line {lineno}: {exc}")
-    return None
+            error = DataError(f"line {lineno}: {exc}")
+            break
+        linenos.append(lineno)
+    if not rows:
+        return error
+    theta1, theta2, dwell, counts = zip(*rows)
+    theta1, theta2 = np.radians(theta1), np.radians(theta2)
+
+    def rejection(lo, hi):
+        try:
+            CountTable(theta1[lo:hi], theta2[lo:hi], dwell[lo:hi], counts[lo:hi])
+        except ValueError as exc:
+            return exc
+        return None
+
+    lo, hi = 0, len(rows)
+    if rejection(lo, hi) is None:
+        return error
+    while hi - lo > 1:  # rows lo to hi hold the first row CountTable rejects
+        mid = (lo + hi) // 2
+        if rejection(lo, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return DataError(f"line {linenos[lo]}: {rejection(lo, hi)}")
 
 
 def cmd_simulate(args) -> int:
@@ -322,7 +363,7 @@ def cmd_fringe(args) -> int:
     plan = cfg.plan
     rates = coincidence_rate(cfg.scale.detected_rate(cfg.detector), cfg.sample, plan.theta1, plan.theta2,
                              cfg.detector.visibility)
-    text = _csv_text(FRINGE_HEADER, "%.6f,%.6f\n", (np.degrees(plan.theta1).tolist(), rates.tolist()))
+    text = _csv_text(FRINGE_HEADER, ("%.6f", "%.6f"), (np.degrees(plan.theta1), rates))
     _write_text(text, args.out)
     return EXIT_OK
 

@@ -3,7 +3,8 @@
 Closed-form twin-photon coincidence rate through two linear analyzers and
 a reflective sample in the signal arm, detector/accidental effects, and
 shot-noise (Poisson) count generation with a counter-based RNG so every
-record is reproducible independently of the others.
+record is reproducible independently of the others.  `_draws` draws the
+counts over arrays, equal to numpy's draw from a new Philox per record.
 
 The rate formula lives in `analyzer_terms` and `rate_shape`, the mean count
 in `mean_counts` and the settings rule in `_settings_columns` only; the
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _draws
 from .samples import SampleParams
 
 
@@ -276,31 +278,21 @@ def simulate_counts(
 
     Each record uses its own counter-based Philox stream keyed by
     (seed, record index), so identical inputs give bit-identical outputs
-    and records can be generated independently in any order.  One Philox
-    generator is reset to each record's key, counter 0 and an empty buffer,
-    which is the state of a new Philox(key=[seed, i]).  A record of mean 0
-    draws nothing and counts 0.
+    and records can be generated independently in any order: count i is
+    Generator(Philox(key=[seed, i])).poisson(mean i), and a record of mean 0
+    draws nothing and counts 0.  Most records of mean 10 and above are
+    decided at once from their first Philox block, computed over arrays;
+    numpy draws the rest from the stream position each one reached (see
+    `_draws`).  The means must be finite and at most numpy's Poisson limit
+    (about 9.2e18).
     """
     if not (0 <= int(seed) < 2**64):
         raise ValueError("seed must be an unsigned 64-bit integer")
-    means = expected_counts(plan, scale, det, params)
-    counts = np.zeros(len(means), dtype=np.int64)
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-    key = [int(seed), 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # buffer used up, as in a new Philox
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    drawn = np.flatnonzero(means)
-    for i, mean in zip(drawn.tolist(), means[drawn].tolist()):
-        key[1] = i
-        bit_generator.state = state
-        counts[i] = rng.poisson(mean)
+    with np.errstate(over="ignore"):  # an overflowing mean is rejected below
+        means = expected_counts(plan, scale, det, params)
+    if not np.all(means <= _draws.LAM_MAX):  # NaN fails too
+        raise ValueError("mean counts must be finite and at most 9.2e18 to draw")
+    counts = _draws.poisson(int(seed), means)
     return CountTable._trusted(plan.theta1, plan.theta2, plan.duration, counts)
 
 

@@ -145,6 +145,15 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg]) == 2
         assert "config error: plan.sweep.step:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs_per_s, dwell_s", [(1e300, 1e10), (1e19, 1.0)],
+                             ids=["overflow", "above-limit"])
+    def test_mean_beyond_numpy_poisson_limit_exits_4(self, tmp_path, capsys, pairs_per_s, dwell_s):
+        config = dict(MIRROR_CONFIG, scale={"pairs_per_s": pairs_per_s},
+                      plan=dict(MIRROR_CONFIG["plan"], dwell_s=dwell_s))
+        assert run(["simulate", "--config", write_config(tmp_path, config)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: mean counts must be finite and at most 9.2e18 to draw\n")
+
     @pytest.mark.parametrize("limit, code", [(13, 0), (12, 2)])
     def test_sweep_point_limit_is_inclusive(self, tmp_path, monkeypatch, limit, code):
         monkeypatch.setattr(qellip.cli, "MAX_SWEEP_POINTS", limit)
@@ -358,6 +367,32 @@ class TestEstimate:
         )
         assert run(["estimate", str(path), "--method", "fit"]) == 3
         assert "data error: line 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["30,45,0,130", "45,45,130", "90,45,1,x"], "duration must be finite and positive"),
+            (["45,45,130", "30,45,0,130"], "expected 4 comma-separated fields"),
+            (["30,45,1,x", "30,45,0,130"], "invalid literal for int() with base 10: 'x'"),
+            (["30,45,1,-1", "30,45,0,130"], "counts must be non-negative integers below 2**63"),
+        ],
+        ids=["invalid-before-3-fields", "3-fields-before-invalid", "counts-x-before-invalid", "two-invalid"],
+    )
+    def test_first_bad_line_is_named_whatever_its_fault(self, rows, message):
+        text = COUNTS_HEADER + "\n0,45,1,100\n" + "\n".join(rows) + "\n"
+        with pytest.raises(qellip.cli.DataError) as caught:
+            qellip.cli.parse_counts_csv(text)
+        assert str(caught.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("position", [0, 1, 4999, 9998, 9999])
+    def test_bad_row_of_a_long_file_is_named(self, position):
+        rows = [f"{0.018 * j:.6f},45.000000,1.000000,{j}" for j in range(10_000)]
+        rows[position] = rows[position].replace(",1.000000,", ",0,")
+        for later in range(position + 1, len(rows), 1237):
+            rows[later] = rows[later].rpartition(",")[0] + ",-1"
+        with pytest.raises(qellip.cli.DataError) as caught:
+            qellip.cli.parse_counts_csv(COUNTS_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert str(caught.value) == f"line {position + 2}: duration must be finite and positive"
 
     def test_blank_lines_skipped(self, tmp_path):
         cfg = write_config(tmp_path, MIRROR_CONFIG)
@@ -888,6 +923,17 @@ class TestWriters:
         want = COUNTS_HEADER + "\n" + "".join(map("%.6f,%.6f,%.6f,%d\n".__mod__, rows))
         assert counts_csv(table) == want
         assert counts_csv(list(table)) == want
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_counts_csv_with_constant_columns_matches_per_row_reference(self, n):
+        # theta2, dwell and counts each hold one value; theta1 holds 0.0 and
+        # -0.0, which are equal but print apart, so it is not one value
+        theta1 = np.where(np.arange(n) % 2, 0.0, -0.0)
+        for theta2, dwell, counts in ((-0.0, 1e-7, 0), (0.0, 2.5, 2**63 - 1), (1.0, 1e7, 12)):
+            table = CountTable(theta1, np.full(n, theta2), np.full(n, dwell), np.full(n, counts))
+            rows = zip(np.degrees(table.theta1).tolist(), np.degrees(table.theta2).tolist(),
+                       table.duration.tolist(), table.counts.tolist())
+            assert counts_csv(table) == COUNTS_HEADER + "\n" + "".join(map("%.6f,%.6f,%.6f,%d\n".__mod__, rows))
 
     def test_fringe_matches_per_row_reference(self, tmp_path):
         config = dict(

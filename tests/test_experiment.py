@@ -16,11 +16,46 @@ from qellip import (
     simulate_counts,
     visibility,
 )
+from qellip import _draws
 from qellip.experiment import record_columns
 
 from oracle import projection_rate
 
 MIRROR = SampleParams.mirror()
+SEEDS = [0, 7, 2**63 + 5, 2**64 - 1]
+
+
+def new_philox_draws(seed, means):
+    """The draw contract written out: record i draws from a new
+    Generator(Philox(key=[seed, i])), and a record of mean 0 draws nothing."""
+    return [
+        0 if mean == 0 else
+        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).poisson(mean)
+        for i, mean in enumerate(means)
+    ]
+
+
+def state_reset_draws(seed, means):
+    """The contract as a loop: one Philox reset to key (seed, i), counter 0
+    and an empty buffer (the state of a new Philox) for each record."""
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    key = [int(seed), 0]
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counts = np.zeros(len(means), dtype=np.int64)
+    for i in np.flatnonzero(means).tolist():
+        key[1] = i
+        bit_generator.state = state
+        counts[i] = rng.poisson(means[i])
+    return counts
+
+
+def mirror_plan(dwell, zero):
+    """A plan whose mean counts at pair rate 1 are exactly dwell, or exactly 0
+    where zero is set: the analyzers at (90, 0 deg), or at (0, 0)."""
+    theta1 = np.where(zero, 0.0, math.pi / 2)
+    return AcquisitionPlan(np.column_stack((theta1, np.zeros(len(dwell)), dwell)))
 
 
 class TestCoincidenceRate:
@@ -206,6 +241,54 @@ class TestSimulateCounts:
         got = simulate_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR, seed=seed)
         assert got.counts.dtype == np.int64
         np.testing.assert_array_equal(got.counts, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_block_is_a_new_philox_first_four_words(self, seed):
+        index = np.array([0, 1, 12345, 2**32 + 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        want = [np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).random_raw(4) for i in index.tolist()]
+        np.testing.assert_array_equal(np.column_stack(_draws.first_block(seed, index)), want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_array_path_matches_a_new_philox_per_record(self, seed):
+        # 2 000 records of mean 10 to 1e9 take the array path, and each of its
+        # outcomes occurs: a count decided by a try in the first block, a record
+        # handed to numpy after both tries failed, and a log test too close to
+        # call, which numpy draws again from the start.
+        dwell = np.concatenate([np.geomspace(1e-3, 9.9, 400), np.geomspace(10.0, 1e9, 2000), np.ones(100)])
+        order = np.random.default_rng(2).permutation(dwell.size)
+        plan = mirror_plan(dwell[order], order >= 2400)
+        means = expected_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR)
+        ptrs = np.flatnonzero(means >= 10)
+        np.testing.assert_array_equal(means, np.where(order >= 2400, 0.0, dwell[order]))
+        assert ptrs.size == 2000 >= _draws._VECTOR_FROM
+        outcomes = _draws.first_block_ptrs(seed, ptrs, means[ptrs])[1]
+        assert set(outcomes.tolist()) == {_draws.DECIDED, _draws.FAILED, _draws.TIE}
+        got = simulate_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR, seed=seed)
+        np.testing.assert_array_equal(got.counts, new_philox_draws(seed, means))
+
+    def test_array_path_matches_the_state_reset_loop_over_many_records(self):
+        rng = np.random.default_rng(3)
+        n = 200_000
+        means = np.concatenate([rng.uniform(1e-3, 10.0, n // 5), 10.0 ** rng.uniform(1, 9, n - n // 5)])
+        means[rng.random(n) < 0.05] = 0.0
+        got = simulate_counts(mirror_plan(np.where(means == 0, 1.0, means), means == 0), ExperimentScale(1.0),
+                              DetectorModel(), MIRROR, seed=2**63 + 5)
+        np.testing.assert_array_equal(got.counts, state_reset_draws(2**63 + 5, means))
+
+    @pytest.mark.parametrize("pair_rate, dwell", [(1e300, 1e10), (1e19, 1.0)], ids=["overflow", "above-limit"])
+    def test_mean_beyond_numpy_poisson_limit_is_rejected(self, pair_rate, dwell):
+        # 1e300 * 1e10 overflows to inf; 1e19 is finite but above numpy's limit
+        plan = AcquisitionPlan(tuple((t, 0.0, dwell) for t in np.radians(np.arange(0.0, 181.0, 15.0))))
+        with pytest.raises(ValueError, match=r"^mean counts must be finite and at most 9\.2e18 to draw$"):
+            simulate_counts(plan, ExperimentScale(pair_rate), DetectorModel(), MIRROR, seed=0)
+
+    def test_mean_at_numpy_poisson_limit_is_drawn(self):
+        limit = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10  # numpy's own bound
+        got = simulate_counts(mirror_plan([limit], [False]), ExperimentScale(1.0), DetectorModel(), MIRROR, seed=0)
+        assert got.counts.tolist() == new_philox_draws(0, [limit])
+        with pytest.raises(ValueError, match="^mean counts must be finite"):
+            simulate_counts(mirror_plan([np.nextafter(limit, math.inf)], [False]), ExperimentScale(1.0),
+                            DetectorModel(), MIRROR, seed=0)
 
     def test_bad_seed_rejected(self):
         plan = AcquisitionPlan(((0.0, math.pi / 4, 1.0),))
