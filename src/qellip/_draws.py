@@ -7,16 +7,13 @@ tries of numpy's PTRS sampler for means of 10 and above (Hoermann 1993;
 numpy's `random_poisson_ptrs`), is computed here at once.  The sampler is
 ported in C's order of operations, with no fused multiply-add.
 
-A record the two tries do not decide is drawn by numpy itself, from a
-Philox reset to its key:
-- at counter 1 with the buffer used up, when both tries failed: each PTRS
-  try is independent of the ones before it, so numpy carries on as if from
-  its third try;
-- at counter 0, when a log test falls within 1e-12 (relative) of its
-  bound, where np.log and the C library's log may round apart.
-Means below 10, which numpy draws by multiplication (not memoryless), and
-every record of a plan with fewer than _VECTOR_FROM PTRS records are drawn
-by numpy from counter 0.
+A record the array path does not decide is drawn by numpy itself, from a
+Philox reset to key (seed, i), counter 0 and an empty buffer: exactly a new
+Philox(key=[seed, i]).  Those are the records whose two tries both failed,
+those whose log test fell within 1e-12 (relative) of its bound, where np.log
+and the C library's log may round apart, those of mean below 10, which numpy
+draws by multiplication, and every record of a plan with fewer than
+_VECTOR_FROM PTRS records.
 """
 
 import math
@@ -127,22 +124,22 @@ def first_block_ptrs(seed: int, index, lam):
     return k, outcome
 
 
-def _loop(seed: int, index, counter, means, counts):
+def _loop(seed: int, index, means, counts):
     """counts[i] = numpy's Poisson draw of means[i] from a Philox reset to key
-    (seed, i), counter word counter[i] and an empty buffer, for i in index."""
+    (seed, i), counter 0 and an empty buffer, for i in index."""
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
-    key, ctr = [int(seed), 0], [0, 0, 0, 0]
+    key = [int(seed), 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": ctr, "key": key},
+        "state": {"counter": (0, 0, 0, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # buffer used up
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for i, c, mean in zip(index.tolist(), counter.tolist(), means[index].tolist()):
-        key[1], ctr[0] = i, c
+    for i, mean in zip(index.tolist(), means[index].tolist()):
+        key[1] = i
         bit_generator.state = state
         counts[i] = rng.poisson(mean)
 
@@ -152,16 +149,12 @@ def poisson(seed: int, means) -> np.ndarray:
     draws it, and 0 where the mean is 0; the means are finite, non-negative
     and within numpy's Poisson limit."""
     counts = np.zeros(len(means), dtype=np.int64)
-    index = np.flatnonzero(means)
-    counter = np.zeros(len(index), dtype=np.int64)  # where each loop draw starts
-    ptrs = np.flatnonzero(means[index] >= _PTRS_FROM)
+    undrawn = means != 0
+    ptrs = np.flatnonzero(means >= _PTRS_FROM)
     if len(ptrs) >= _VECTOR_FROM:
-        k, outcome = first_block_ptrs(seed, index[ptrs], means[index[ptrs]])
+        k, outcome = first_block_ptrs(seed, ptrs, means[ptrs])
         decided = outcome == DECIDED
-        counts[index[ptrs[decided]]] = k[decided]
-        counter[ptrs[outcome == FAILED]] = 1
-        undecided = np.ones(len(index), dtype=bool)
-        undecided[ptrs[decided]] = False
-        index, counter = index[undecided], counter[undecided]
-    _loop(seed, index, counter, means, counts)
+        counts[ptrs[decided]] = k[decided]
+        undrawn[ptrs[decided]] = False
+    _loop(seed, np.flatnonzero(undrawn), means, counts)
     return counts

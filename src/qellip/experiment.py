@@ -243,12 +243,18 @@ def coincidence_rate(
 
     with b = sqrt(tan psi).  At V = 1 this is exactly the squared modulus
     |b e^{i delta} cos(t1) sin(t2) + sin(t1) cos(t2)|^2 times `scale`.
+    A rate that is not finite (a large scale times the shape overflows)
+    raises ValueError.
     """
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError("scale must be positive")
     if not (0.0 <= visibility <= 1.0):
         raise ValueError("visibility must lie in [0, 1]")
-    return scale * rate_shape(analyzer_terms(theta1, theta2), params.beta, params.delta, visibility)
+    with np.errstate(over="ignore"):  # an overflowing rate is rejected below
+        rate = scale * rate_shape(analyzer_terms(theta1, theta2), params.beta, params.delta, visibility)
+    if not np.all(np.isfinite(rate)):
+        raise ValueError("coincidence rate is not finite")
+    return rate
 
 
 def expected_counts(
@@ -282,7 +288,7 @@ def simulate_counts(
     Generator(Philox(key=[seed, i])).poisson(mean i), and a record of mean 0
     draws nothing and counts 0.  Most records of mean 10 and above are
     decided at once from their first Philox block, computed over arrays;
-    numpy draws the rest from the stream position each one reached (see
+    numpy draws each of the rest from a new Philox(key=[seed, i]) (see
     `_draws`).  The means must be finite and at most numpy's Poisson limit
     (about 9.2e18).
     """

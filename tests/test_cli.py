@@ -30,6 +30,10 @@ MIRROR_CONFIG = {
     "seed": 7,
 }
 
+# pairs_per_s * b^2 / 2 at theta1 = 0, with b^2 = tan(psi) about 5.7e8, overflows.
+RATE_OVERFLOW_CONFIG = dict(MIRROR_CONFIG, sample={"type": "direct", "psi_deg": 89.9999999, "delta_deg": 10.0},
+                            scale={"pairs_per_s": 1e305})
+
 # SiO2 100 nm on Si at 70 deg and 632.8 nm; tests/golden/sio2_on_si_fringe.csv
 # is its `qellip fringe` output.
 FILM_CONFIG = {
@@ -243,6 +247,13 @@ class TestFringe:
             assert run([command, "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             "config error: scale.pairs_per_s: detected rate pair_rate * eta1 * eta2 rounds to 0\n" * 3)
+
+    def test_rate_that_overflows_exits_4_writing_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RATE_OVERFLOW_CONFIG)
+        out = tmp_path / "fringe.csv"
+        assert run(["fringe", "--config", cfg, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "numerical error: coincidence rate is not finite\n"
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -731,6 +742,29 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, command):
     assert run([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: --out: cannot write {out}: ")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command, code", [("simulate", 4), ("fringe", 4), ("estimate", 3), ("baseline", 4)])
+def test_run_that_fails_leaves_existing_out_unchanged(tmp_path, command, code):
+    # Output is written only after the work succeeds, so a failed run never
+    # truncates an existing file.
+    if command == "estimate":
+        csv = tmp_path / "zero_dwell.csv"
+        csv.write_text(COUNTS_HEADER + "\n0.000000,45.000000,0.000000,5\n")
+        argv = ["estimate", str(csv)]
+    else:
+        config = {
+            "simulate": dict(MIRROR_CONFIG, scale={"pairs_per_s": 1e300},
+                             plan=dict(MIRROR_CONFIG["plan"], dwell_s=1e10)),
+            "fringe": RATE_OVERFLOW_CONFIG,
+            "baseline": dict(MIRROR_CONFIG, scale={"pairs_per_s": 1e308},
+                             instrument={"gain_drift": 2.0, "extinction": 0.0}),
+        }[command]
+        argv = [command, "--config", write_config(tmp_path, config)]
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier output\n")
+    assert run([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == b"earlier output\n"
 
 
 # Every numeric config read, as (config, path to the field, required).  The

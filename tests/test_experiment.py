@@ -109,6 +109,12 @@ class TestCoincidenceRate:
         with pytest.raises(ValueError):
             coincidence_rate(1.0, MIRROR, 0.0, 0.0, visibility=1.5)
 
+    def test_rate_that_overflows_is_rejected(self):
+        # b^2 = tan(psi) is about 5.7e8, so 1e305 * b^2 / 2 at theta1 = 0 overflows
+        p = SampleParams(psi=math.radians(89.9999999), delta=math.radians(10.0))
+        with pytest.raises(ValueError, match="^coincidence rate is not finite$"):
+            coincidence_rate(1e305, p, np.radians([0.0, 45.0, 90.0]), math.pi / 4)
+
 
 class TestExpectedCounts:
     def test_plain_rate_times_duration(self):
@@ -252,8 +258,8 @@ class TestSimulateCounts:
     def test_array_path_matches_a_new_philox_per_record(self, seed):
         # 2 000 records of mean 10 to 1e9 take the array path, and each of its
         # outcomes occurs: a count decided by a try in the first block, a record
-        # handed to numpy after both tries failed, and a log test too close to
-        # call, which numpy draws again from the start.
+        # whose two tries both failed, and a log test too close to call.  numpy
+        # draws each record the first block does not decide from a new Philox.
         dwell = np.concatenate([np.geomspace(1e-3, 9.9, 400), np.geomspace(10.0, 1e9, 2000), np.ones(100)])
         order = np.random.default_rng(2).permutation(dwell.size)
         plan = mirror_plan(dwell[order], order >= 2400)
@@ -264,6 +270,19 @@ class TestSimulateCounts:
         outcomes = _draws.first_block_ptrs(seed, ptrs, means[ptrs])[1]
         assert set(outcomes.tolist()) == {_draws.DECIDED, _draws.FAILED, _draws.TIE}
         got = simulate_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR, seed=seed)
+        np.testing.assert_array_equal(got.counts, new_philox_draws(seed, means))
+
+    @pytest.mark.parametrize("seed", [7, 2**64 - 1])
+    @pytest.mark.parametrize("n_ptrs", [_draws._VECTOR_FROM - 1, _draws._VECTOR_FROM], ids=["loop", "arrays"])
+    def test_draws_at_the_array_path_threshold_match_a_new_philox_per_record(self, seed, n_ptrs):
+        # One PTRS record fewer than the threshold is drawn by the loop alone,
+        # exactly the threshold by the array path; zero and sub-10 means mixed in.
+        rng = np.random.default_rng(4)
+        means = np.concatenate([10.0 ** rng.uniform(1, 9, n_ptrs), rng.uniform(1e-3, 9.9, 150), np.zeros(50)])
+        means = means[rng.permutation(means.size)]
+        assert np.sum(means >= 10) == n_ptrs
+        got = simulate_counts(mirror_plan(np.where(means == 0, 1.0, means), means == 0), ExperimentScale(1.0),
+                              DetectorModel(), MIRROR, seed=seed)
         np.testing.assert_array_equal(got.counts, new_philox_draws(seed, means))
 
     def test_array_path_matches_the_state_reset_loop_over_many_records(self):
