@@ -164,14 +164,23 @@ def _parse_plan(d, context="plan") -> AcquisitionPlan:
     return _build(context, AcquisitionPlan, settings=settings)
 
 
+def _undecodable(exc: UnicodeDecodeError) -> str:
+    """The byte of a whole-file read that is not UTF-8, named with its offset in the file."""
+    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+
+
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {_undecodable(exc)}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
 
@@ -413,28 +422,25 @@ def cmd_estimate(args) -> int:
                  accidental_rate=args.accidental_per_s, visibility=args.visibility)
     ground_truth = _ground_truth(args)
     try:
-        with open(args.counts_csv) as fh:
+        with open(args.counts_csv, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {args.counts_csv}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.counts_csv}: {_undecodable(exc)}") from exc
     table = parse_counts_csv(text)
     # Canonical order makes the report independent of input row order.
     records = table[np.lexsort((table.counts, table.duration, table.theta2, table.theta1))]
 
-    failures = []
-    if args.method == "three-angle":
-        try:
-            estimate = three_angle_from_counts(records, det)
-        except LookupError as exc:
-            raise DataError(str(exc)) from exc
-    else:
-        try:
-            estimate = least_squares_fit(records, det)
-        except FitError as exc:
-            if exc.estimate is None:
-                raise
-            estimate, failures = exc.estimate, [str(exc)]
+    estimator = three_angle_from_counts if args.method == "three-angle" else least_squares_fit
+    try:
+        estimate, failures = estimator(records, det), []
+    except LookupError as exc:
+        raise DataError(str(exc)) from exc
+    except FitError as exc:
+        estimate, failures = exc.estimate, [str(exc)]
     report = _estimate_report(estimate, records, det, ground_truth)
+    # The estimators raise on a non-finite covariance, but the scaling to degrees can overflow a finite one.
     if not (failures or np.isfinite(report["cov"]).all()):
         failures = ["covariance is not finite"]
     report["warnings"] += failures
@@ -449,7 +455,10 @@ def cmd_baseline(args) -> int:
     with np.errstate(over="ignore"):  # three_angle_invert reports an overflowing rate
         rates = g * coincidence_rate(cfg.scale.detected_rate(cfg.detector), cfg.sample,
                                      np.radians([0.0, 45.0, 90.0]), math.radians(45.0), cfg.detector.visibility)
-    quantum = three_angle_invert(*rates.tolist())
+    try:
+        quantum = three_angle_invert(*rates.tolist())
+    except FitError as exc:  # the report carries psi alone, which needs no covariance
+        quantum = exc.estimate
     report = {
         "version": __version__,
         "classical_psi_deg": math.degrees(classical_psi),
@@ -511,7 +520,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FitError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -18,6 +18,11 @@ from the exact Hessian of the Poisson negative log-likelihood: inside its
 domain the closed form reproduces the three counts exactly, so it is the
 maximum-likelihood point of those counts.
 
+Both fail the same way.  ValueError: the counts admit no estimate (a null,
+visibility 0, an unidentifiable plan, non-finite rates, no counts).
+FitError: an estimate exists but is not trusted, and the error carries it;
+both estimators raise it where the covariance is not finite.
+
 Only |delta| is identifiable: the rate depends on delta through cos(delta)
 alone, so estimates report delta_mag_hat in [0, pi].
 """
@@ -64,11 +69,18 @@ class EllipsometricEstimate:
 
 
 class FitError(RuntimeError):
-    """Raised when the fit gives no usable estimate; carries the best iterate."""
+    """Raised where an estimate exists but is not trusted; carries it."""
 
-    def __init__(self, message: str, estimate: EllipsometricEstimate | None = None):
+    def __init__(self, message: str, estimate: EllipsometricEstimate):
         super().__init__(message)
         self.estimate = estimate
+
+
+def _trusted(estimate: EllipsometricEstimate) -> EllipsometricEstimate:
+    """estimate, or FitError carrying it where its covariance is not finite."""
+    if not np.isfinite(estimate.covariance).all():
+        raise FitError("covariance is not finite", estimate=estimate)
+    return estimate
 
 
 def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
@@ -82,7 +94,8 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
     Where |cos delta| < 1 the model then reproduces the three counts exactly,
     so this is the Poisson maximum-likelihood point and its covariance is
     the inverse observed information, as for least_squares_fit.  Raises
-    ValueError where a rate k/t - A, or C, is not finite.
+    ValueError where a rate k/t - A, or C, is not finite, and FitError
+    where the covariance is not finite.
     """
     with np.errstate(all="ignore"):
         rates = k / dur - det.accidental_rate
@@ -109,8 +122,8 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
             # (|cos delta| = 1, or within rounding): report the widest spread on [0, pi].
             # The NaN covariance of a non-finite Hessian fails the test and stays NaN.
             cov[2, 2] = np.pi**2 / 4
-    return EllipsometricEstimate(C_hat=float(c), psi_hat=float(np.arctan(x)), delta_mag_hat=delta,
-                                 covariance=cov, method="three_angle", warnings=warnings)
+    return _trusted(EllipsometricEstimate(C_hat=float(c), psi_hat=float(np.arctan(x)), delta_mag_hat=delta,
+                                          covariance=cov, method="three_angle", warnings=warnings))
 
 
 def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> EllipsometricEstimate:
@@ -119,7 +132,9 @@ def three_angle_invert(rate_0: float, rate_45: float, rate_90: float) -> Ellipso
     taken as counts in a 1 s dwell at visibility 1.
 
     psi and delta are computed from the rate ratios only, so a common
-    scale factor on all three inputs cannot move them.
+    scale factor on all three inputs cannot move them.  Raises ValueError
+    where no estimate exists (a null, a non-finite rate) and FitError,
+    carrying the estimate, where its covariance is not finite.
     """
     if min(rate_0, rate_45, rate_90) < 0:
         raise ValueError("three-angle inversion: rates must be non-negative")
@@ -133,7 +148,8 @@ def three_angle_from_counts(records, det: DetectorModel) -> EllipsometricEstimat
     theta2 = 45 deg (to within ANGLE_TOL_DEG); other rows are ignored.
     Accidentals are subtracted and the interference term divided by the
     visibility, both taken from `det`.  Raises LookupError when a setting
-    has no rows, ValueError at an eigenpolarization null or visibility 0.
+    has no rows, ValueError at an eigenpolarization null or visibility 0,
+    and FitError, carrying the estimate, where its covariance is not finite.
     """
     t1, t2, dur, k = record_columns(records)
     at_45 = np.abs(np.degrees(t2) - 45.0) <= ANGLE_TOL_DEG
@@ -225,7 +241,7 @@ def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
     separates the terms at all (same tolerance as matrix_rank).
     """
     if not k.sum() > 0:
-        raise FitError("cannot seed fit: no counts")
+        raise ValueError("cannot seed fit: no counts")
     design = terms.T * dur[:, None]
     x, _, rank, _ = np.linalg.lstsq(design, k - det.accidental_rate * dur, rcond=None)
     if rank < 3:
@@ -241,7 +257,7 @@ def _linear_seed(terms, dur, k, det: DetectorModel) -> np.ndarray:
     delta = min(max(np.arccos(min(max(cos_d, -1.0), 1.0)), np.pi / 12), 11 * np.pi / 12)
     u = np.array([np.log(c), 0.5 * np.log(cb2 / c), delta])
     if not np.isfinite(u).all():  # e.g. A t overflows
-        raise FitError("cannot seed fit: the linear model of the counts is not finite")
+        raise ValueError("cannot seed fit: the linear model of the counts is not finite")
     return u
 
 
@@ -317,10 +333,11 @@ def least_squares_fit(
     by _damped_newton on the exact Hessian, and accepted when the Newton
     decrement of _at_optimum is at most _DECREMENT_TOL; the covariance is
     _at_optimum's there.
-    Raises FitError (carrying the best iterate) on non-convergence or when
+    Raises FitError (carrying the best iterate) on non-convergence, when
     psi runs to 0 or 90 deg, where one polarization adds under one
-    expected count and the covariance means nothing; raises ValueError on
-    unidentifiable plans and at visibility 0.
+    expected count and the covariance means nothing, and where the
+    covariance is not finite; raises ValueError on no counts, a non-finite
+    linear seed, unidentifiable plans and at visibility 0.
     """
     t1, t2, dur, k = record_columns(records)
     terms = np.array(analyzer_terms(t1, t2))
@@ -347,4 +364,4 @@ def least_squares_fit(
     if not (min(beta * beta * np.dot(a, dur), np.dot(bb, dur)) * c_hat >= 1.0):
         msg = f"psi ran to {np.degrees(psi):.6g} deg: one polarization adds under one expected count"
         raise FitError(msg, estimate=estimate)
-    return estimate
+    return _trusted(estimate)

@@ -639,6 +639,15 @@ class TestBaseline:
         assert capsys.readouterr().err == "numerical error: three-angle inversion: rates must be finite\n"
         assert not out.exists()
 
+    def test_untrusted_covariance_still_gives_psi(self, tmp_path):
+        # the three-angle covariance is not finite at these rates; the report
+        # carries psi alone, which needs none
+        config = dict(MIRROR_CONFIG, sample={"type": "direct", "psi_deg": 1.0, "delta_deg": 10.0},
+                      scale={"pairs_per_s": 1e307})
+        out = tmp_path / "baseline.json"
+        assert run(["baseline", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["quantum_psi_deg"] == 1.0
+
     def test_perfect_instrument_all_equal(self, tmp_path):
         cfg = write_config(tmp_path, MIRROR_CONFIG)
         out = tmp_path / "baseline.json"
@@ -824,7 +833,7 @@ def with_field(config, path, value=None):
 
 
 BOUNDARY_CASES = {
-    # id: (subcommand, config object or CSV text written to its input, exit code, stderr prefix)
+    # id: (subcommand, config object, CSV text or raw bytes written to its input, exit code, stderr prefix)
     "scale-missing": ("simulate", {k: v for k, v in MIRROR_CONFIG.items() if k != "scale"}, 2,
                       "config error: config.scale: missing required field"),
     "layers-not-a-list": ("simulate", dict(MIRROR_CONFIG, sample=dict(FILM_CONFIG["sample"], layers={})), 2,
@@ -849,6 +858,12 @@ BOUNDARY_CASES = {
     "unreadable-csv": ("estimate", None, 3, "data error: cannot read {path}: "),
     "visibility-flag": ("estimate", (GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text(), 2,
                         "config error: detector flags: visibility must lie in [0, 1], got 1.5"),
+    "csv-byte-0xff": ("estimate", COUNTS_HEADER.encode() + b"\n0,45,1,\xff5\n", 3,
+                      "data error: {path}: not UTF-8: byte 0xff at offset 44\n"),
+    "config-byte-0xff": ("simulate", b'{"sample": "\xff"}', 2,
+                         "config error: {path}: not UTF-8: byte 0xff at offset 12\n"),
+    "config-nested-too-deeply": ("simulate", b"[" * 200_000 + b"]" * 200_000, 2,
+                                 "config error: {path}: invalid JSON: nested too deeply\n"),
     **{f"{config['sample']['type']}:{field_name(path)}-string": (
         "simulate", with_field(config, path, "x"), 2,
         f"config error: {field_name(path)}: expected a finite number, got 'x'")
@@ -864,7 +879,9 @@ class TestBoundaryErrors:
     def test_exit_code_and_message(self, tmp_path, capsys, case):
         command, content, code, message = BOUNDARY_CASES[case]
         path = tmp_path / "input"
-        if isinstance(content, str):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, str):
             path.write_text(content)
         elif content is not None:
             path.write_text(json.dumps(content))

@@ -195,9 +195,25 @@ class TestThreeAngleInvert:
     def test_non_finite_hessian_gives_a_nan_covariance(self):
         # the Hessian at these rates is not finite; eigh gave a LinAlgError there,
         # and the delta edge rule may not fill in var delta
-        est = three_angle_invert(1e-300, 1e150, 1e18)
+        with pytest.raises(FitError, match="^covariance is not finite$") as excinfo:
+            three_angle_invert(1e-300, 1e150, 1e18)
+        est = excinfo.value.estimate
         assert est.C_hat == 2e18
         assert np.isnan(est.covariance).all()
+
+    @given(st.lists(st.floats(-320.0, 308.25), min_size=3, max_size=3))
+    def test_estimate_has_a_finite_covariance_or_fails(self, exponents):
+        # rates 10^U(-320, 308.25), subnormal to near the largest float: an
+        # estimate with a finite covariance, no estimate (ValueError), or an
+        # untrusted one (FitError) that carries finite (C, psi, |delta|)
+        try:
+            est, failed = three_angle_invert(*(10.0**e for e in exponents)), False
+        except ValueError:
+            return
+        except FitError as exc:
+            est, failed = exc.estimate, True
+        assert np.isfinite([est.C_hat, est.psi_hat, est.delta_mag_hat]).all()
+        assert np.isfinite(est.covariance).all() != failed
 
     def test_huge_rates_give_the_poisson_variances(self):
         # var(rate) = rate: var C = 4 r and var psi = 1 / (2 r) at equal rates r
@@ -227,6 +243,18 @@ class TestFisherCovariance:
         cond = w.max() / w[w > 0].min() if w.any() else 1.0
         atol = 64 * np.finfo(float).eps * cond * np.abs(hess_pinv).max() * np.outer(jac, jac)
         np.testing.assert_array_less(np.abs(cov - jac[:, None] * jac * hess_pinv), atol + 1e-300)
+
+
+@pytest.mark.parametrize("estimator", [three_angle_from_counts, least_squares_fit])
+def test_overflowing_covariance_raises_with_the_estimate(estimator):
+    # C is about 2e163/s at a 1e-160 s dwell, so var C overflows while var psi
+    # and var delta do not
+    recs = [CountRecord(math.radians(t), THETA2, 1e-160, k) for t, k in ((0, 900), (45, 1700), (90, 1000), (135, 300))]
+    with pytest.raises(FitError, match="^covariance is not finite$") as excinfo:
+        estimator(recs, DET)
+    cov = excinfo.value.estimate.covariance
+    assert cov[0, 0] == math.inf
+    assert np.isfinite([cov[1, 1], cov[2, 2]]).all()
 
 
 class TestThreeAngleFromCounts:
@@ -409,16 +437,14 @@ class TestLeastSquaresFit:
 
     def test_all_zero_counts_cannot_seed(self):
         recs = [CountRecord(math.radians(t), THETA2, 1.0, 0) for t in range(0, 180, 15)]
-        with pytest.raises(FitError, match="cannot seed fit: no counts") as excinfo:
+        with pytest.raises(ValueError, match="cannot seed fit: no counts"):
             least_squares_fit(recs, DET)
-        assert excinfo.value.estimate is None
 
     def test_non_finite_linear_seed_cannot_seed(self):
         # A t = 1e310 overflows, so the linear model's solution is NaN
         recs = [CountRecord(math.radians(t), THETA2, 1e10, 100) for t in (0, 45, 90, 135)]
-        with pytest.raises(FitError, match="cannot seed fit: the linear model of the counts is not finite") as excinfo:
+        with pytest.raises(ValueError, match="cannot seed fit: the linear model of the counts is not finite"):
             least_squares_fit(recs, DetectorModel(accidental_rate=1e300))
-        assert excinfo.value.estimate is None
 
     @pytest.mark.parametrize("counts, psi_deg", [((1000, 500, 0, 500), 90.0), ((0, 500, 1000, 500), 0.0)])
     def test_psi_boundary_raises_with_best_iterate(self, counts, psi_deg):
