@@ -7,11 +7,13 @@ Exit codes: 0 success, 2 config/validation error, 3 data-schema error,
 """
 
 import argparse
+import bisect
+import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
-from operator import methodcaller
 
 import numpy as np
 
@@ -293,51 +295,55 @@ def counts_csv(records) -> str:
 def parse_counts_csv(text: str) -> CountTable:
     """Parse the counts CSV into a CountTable (angles -> radians).
 
-    Blank lines are skipped.  All rows are read in one pass, angles and
-    dwell as by float() and counts as by int(); only when that fails are the
-    lines read one at a time, to name the first bad one.
+    _read_lines defines the format and every message.  numpy's C reader is
+    tried first on the same lines, and what it refuses goes to _read_lines.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != COUNTS_HEADER:
         raise DataError(f"expected header '{COUNTS_HEADER}'")
-    rows = list(filter(str.strip, lines[1:]))
-    if not rows:
-        raise DataError("no data rows")
+    table = _read_in_c(text, lines)
+    return _read_lines(lines) if table is None else table
+
+
+def _read_in_c(text: str, lines: list):
+    """The CountTable numpy's C reader gives from the lines after the header,
+    or None where it or CountTable refuses them (a warning too: no rows warns).
+    Only ASCII without \\v, \\f and \\x1c to \\x1f is tried: the reader strips
+    them as blanks, where str.splitlines breaks lines (at all but \\x1f) and
+    float() and int() fail (at \\x1c to \\x1f)."""
+    if not text.isascii() or any(c in text for c in "\v\f\x1c\x1d\x1e\x1f"):
+        return None
     try:
-        fields = ",".join(rows).split(",")
-        if set(map(methodcaller("count", ","), rows)) != {3}:
-            raise ValueError("expected 4 comma-separated fields")
-        theta1, theta2, dwell = (np.fromiter(map(float, fields[j::4]), float, len(rows)) for j in range(3))
-        counts = np.fromiter(map(int, fields[3::4]), np.int64, len(rows))
-        return CountTable(np.radians(theta1), np.radians(theta2), dwell, counts)
-    except (ValueError, OverflowError) as exc:
-        raise _first_bad_line(lines) or DataError(str(exc)) from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta1, theta2, dwell, counts = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+                                                       dtype="f8,f8,f8,i8", unpack=True)
+            return CountTable(np.radians(theta1), np.radians(theta2), dwell, counts)
+    except (ValueError, OverflowError, Warning):
+        return None
 
 
-def _first_bad_line(lines):
-    """A DataError naming the first data line that is not a valid record, or None.
-
-    The lines are read once, up to the first that does not split into four
-    fields that float() and int() read.  The first row before it that
-    CountTable rejects is then found by bisecting slices of the columns.
-    """
-    linenos, rows, error = [], [], None
+def _read_lines(lines: list) -> CountTable:
+    """The counts CSV's lines after the header read one at a time: the
+    definition of the format.  Blank lines are skipped, and a row is four
+    fields, angles and dwell read by float() and counts by int().  A
+    DataError names the first bad line: the first that does not read, or an
+    earlier one whose row CountTable rejects, found by bisection."""
+    rows, error = [], None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 4:
-            error = DataError(f"line {lineno}: expected 4 comma-separated fields")
-            break
         try:
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])))
+            if len(parts) != 4:
+                raise ValueError("expected 4 comma-separated fields")
+            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]), lineno))
         except ValueError as exc:
             error = DataError(f"line {lineno}: {exc}")
             break
-        linenos.append(lineno)
     if not rows:
-        return error
-    theta1, theta2, dwell, counts = zip(*rows)
+        raise error or DataError("no data rows")
+    theta1, theta2, dwell, counts, linenos = zip(*rows)
     theta1, theta2 = np.radians(theta1), np.radians(theta2)
 
     def rejection(lo, hi):
@@ -347,16 +353,14 @@ def _first_bad_line(lines):
             return exc
         return None
 
-    lo, hi = 0, len(rows)
-    if rejection(lo, hi) is None:
-        return error
-    while hi - lo > 1:  # rows lo to hi hold the first row CountTable rejects
-        mid = (lo + hi) // 2
-        if rejection(lo, mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return DataError(f"line {linenos[lo]}: {rejection(lo, hi)}")
+    try:
+        table = CountTable(theta1, theta2, dwell, counts)
+    except ValueError as exc:  # the first bad row is the first that CountTable rejects with those before it
+        bad = bisect.bisect_left(range(len(rows)), True, key=lambda j: rejection(0, j + 1) is not None)
+        raise DataError(f"line {linenos[bad]}: {rejection(bad, bad + 1)}") from exc
+    if error:
+        raise error
+    return table
 
 
 def cmd_simulate(args) -> int:
@@ -428,9 +432,11 @@ def cmd_estimate(args) -> int:
         raise DataError(f"cannot read {args.counts_csv}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.counts_csv}: {_undecodable(exc)}") from exc
-    table = parse_counts_csv(text)
-    # Canonical order makes the report independent of input row order.
-    records = table[np.lexsort((table.counts, table.duration, table.theta2, table.theta1))]
+    records = parse_counts_csv(text)
+    # Canonical order makes the report independent of input row order.  A
+    # strictly increasing theta1, as simulate writes, is that order already.
+    if not (np.diff(records.theta1) > 0).all():
+        records = records[np.lexsort((records.counts, records.duration, records.theta2, records.theta1))]
 
     estimator = three_angle_from_counts if args.method == "three-angle" else least_squares_fit
     try:
@@ -471,6 +477,7 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qellip",

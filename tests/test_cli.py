@@ -298,6 +298,47 @@ class TestEstimate:
         assert run(["estimate", str(shuffled), "--method", "fit", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_tied_theta1_in_descending_theta2_gives_the_canonical_report(self, tmp_path):
+        # Rows tied in theta1 fail the check that skips the sort, so they
+        # are still put in canonical order.
+        sweeps = []
+        for theta2 in (45.0, 20.0):
+            cfg = write_config(tmp_path, dict(MIRROR_CONFIG, plan=dict(MIRROR_CONFIG["plan"], theta2_deg=theta2)))
+            counts = tmp_path / f"theta2_{theta2:g}.csv"
+            assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+            sweeps.append(counts.read_text().splitlines()[1:])
+        descending, canonical = tmp_path / "descending.csv", tmp_path / "canonical.csv"
+        descending.write_text("\n".join([COUNTS_HEADER, *(row for pair in zip(*sweeps) for row in pair)]) + "\n")
+        canonical.write_text("\n".join([COUNTS_HEADER, *(row for pair in zip(*sweeps) for row in pair[::-1])]) + "\n")
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert run(["estimate", str(descending), "--method", "fit", "--out", str(out1)]) == 0
+        assert run(["estimate", str(canonical), "--method", "fit", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("method", ["fit", "three-angle"])
+    def test_descending_theta1_sweep_gives_the_golden_report(self, tmp_path, method):
+        lines = (GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text().splitlines()
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_text("\n".join([lines[0], *lines[:0:-1]]) + "\n")
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(reversed_csv), "--method", method, "--out", str(out)]) == 0
+        golden = GOLDEN_DIR / f"mirror_sweep_seed7_{method.replace('-', '_')}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_parser_is_built_once_and_keeps_no_state_between_calls(self, tmp_path):
+        assert qellip.cli.build_parser() is qellip.cli.build_parser()
+        csv, out = str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), tmp_path / "report.json"
+        truth = ["--true-psi-deg", "45", "--true-delta-deg", "0"]
+        assert run(["estimate", csv, "--out", str(out), *truth]) == 0
+        assert json.loads(out.read_text())["ground_truth"] == {"psi_deg": 45.0, "delta_deg": 0.0}
+        assert run(["estimate", csv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ground_truth"] is None
+        with pytest.raises(SystemExit) as caught:
+            run(["estimate", csv, "--method", "none"])
+        assert caught.value.code == 2
+        assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
+
     def test_report_keys_and_residuals(self, tmp_path):
         cfg = write_config(tmp_path, MIRROR_CONFIG)
         counts = tmp_path / "counts.csv"
@@ -1002,3 +1043,139 @@ class TestWriters:
         rates = c.scale.detected_rate(c.detector) * shape
         rows = zip(np.degrees(c.plan.theta1).tolist(), rates.tolist())
         assert out.read_text() == FRINGE_HEADER + "\n" + "".join(map("%.6f,%.6f\n".__mod__, rows))
+
+
+# Counts CSV bodies on which numpy's C reader and the line reader could part
+# ways, as (id, body after the header line, whether the C reader takes it).
+GOOD_ROWS = "0,45,1,100\n30,45,1,130\n90,45,1,190\n"
+READER_CORPUS = [
+    ("lf", GOOD_ROWS, True),
+    ("crlf", GOOD_ROWS.replace("\n", "\r\n"), True),
+    ("lone-cr", "0,45,1,100\r30,45,1,130\n", True),
+    ("cr-before-crlf", "0,45,1,100\r\r\n30,45,1,130\n", True),
+    ("lone-cr-at-end", "0,45,1,100\n30,45,1,130\r", True),
+    ("blank-lines", "\n0,45,1,100\n\n\n30,45,1,130\n\n", True),
+    ("whitespace-only-line", "0,45,1,100\n \t \n30,45,1,130\n", False),
+    ("no-final-newline", "0,45,1,100\n30,45,1,130", True),
+    ("blanks-around-fields", " 0 ,\t45\t, 1 , 100 \n", True),
+    ("signs-and-minus-zero", "-0,+45,1e0,+0\n-0.0,-45,.5,-0\n", True),
+    ("subnormal-and-long-repr", "4.9e-324,0.1000000000000000055511151231257827,1e-300,1\n", True),
+    ("hash-line", "0,45,1,100\n#30,45,1,130\n", False),
+    ("hash-after-counts", "0,45,1,100#\n", False),
+    ("underscore-angle", "1_0,45,1,100\n", False),
+    ("underscore-counts", "0,45,1,1_0\n", False),
+    ("leading-zero-underscore", "0,45,1,0_1\n", False),
+    ("non-ascii-digit", "0,45,1,\u0661\u0660\u0660\n", False),
+    ("fullwidth-digit", "\uff13\uff10,45,1,100\n", False),
+    ("nbsp", "0,45,1,\xa0100\xa0\n", False),
+    ("nbsp-inside", "0,45,1,1\xa000\n", False),
+    *((f"{name}-end-of-field", f"0,45,1,100{char}\n30,45,1,130\n", False)
+      for name, char in (("vt", "\v"), ("ff", "\f"), ("fs", "\x1c"), ("gs", "\x1d"), ("rs", "\x1e"),
+                         ("us", "\x1f"))),
+    *((f"{name}-inside-field", f"0,4{char}5,1,100\n", False)
+      for name, char in (("vt", "\v"), ("ff", "\f"), ("fs", "\x1c"), ("gs", "\x1d"), ("rs", "\x1e"),
+                         ("us", "\x1f"))),
+    ("nul-in-field", "0,45,1,10\x000\n", False),
+    ("nul-after-field", "0,45,1,100\x00\n", False),
+    ("quoted-field", '"0",45,1,100\n', False),
+    ("empty-field", "0,,1,100\n", False),
+    ("empty-counts", "0,45,1,\n", False),
+    ("3-fields", "0,45,1\n", False),
+    ("5-fields", "0,45,1,100,1\n", False),
+    ("trailing-comma", "0,45,1,100,\n", False),
+    ("counts-2**63-1", f"0,45,1,{2**63 - 1}\n", True),
+    ("counts-2**63", f"0,45,1,100\n30,45,1,{2**63}\n", False),
+    ("counts-minus-2**63-1", f"0,45,1,{-2**63 - 1}\n", False),
+    ("counts-minus-1", "0,45,1,100\n30,45,1,-1\n", False),
+    ("counts-5.0", "0,45,1,5.0\n", False),
+    ("counts-1e3", "0,45,1,1e3\n", False),
+    ("nan-angle", "0,45,1,100\nnan,45,1,130\n", False),
+    ("infinity-angle", "0,infinity,1,100\n", False),
+    ("1e5000-dwell", "0,45,1e5000,100\n", False),
+    ("dwell-underflows-to-0", "0,45,1e-400,100\n", False),
+    ("dwell-0-then-3-fields", "0,45,0,130\n45,45,130\n", False),
+    ("3-fields-then-dwell-0", "45,45,130\n30,45,0,130\n", False),
+    ("counts-x-then-dwell-0", "30,45,1,x\n30,45,0,130\n", False),
+    ("counts-minus-1-then-dwell-0", "30,45,1,-1\n30,45,0,130\n", False),
+    ("header-only", "", False),
+    ("header-and-blank-lines", "\n\n\n", False),
+    ("header-and-whitespace-lines", "\n \n\t\n", False),
+]
+
+
+def assert_same_bits(table, other):
+    for column in CountTable.__slots__:
+        a, b = getattr(table, column), getattr(other, column)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+
+
+def assert_readers_agree(text):
+    """The C reader takes only what the line reader reads, bit for bit, and
+    parse_counts_csv gives the line reader's table or message."""
+    lines = text.splitlines()
+    fast = qellip.cli._read_in_c(text, lines)
+    try:
+        table = qellip.cli._read_lines(lines)
+    except qellip.cli.DataError as exc:
+        assert fast is None
+        with pytest.raises(qellip.cli.DataError) as caught:
+            qellip.cli.parse_counts_csv(text)
+        assert str(caught.value) == str(exc)
+        return None
+    if fast is not None:
+        assert_same_bits(fast, table)
+    assert_same_bits(qellip.cli.parse_counts_csv(text), table)
+    return fast
+
+
+# Valid fields as repr gives them, and what may be spliced into a text:
+# separators and characters the line reader reads but the C reader refuses,
+# every ASCII control character, and bad tokens.
+FIELD_ANGLES = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+FIELD_DWELLS = st.floats(5e-324, 1e300).map(repr)
+FIELD_COUNTS = st.integers(0, 2**63 - 1).map(str)
+SPLICES = st.one_of(
+    st.sampled_from([*",\n\r \t#_.e+-0", "\r\n", "\n\n", " \n", "\t\n", "\xa0", "\u0661", "\u2028", "\x85"]),
+    st.sampled_from([*map(chr, range(32)), "\x7f"]),
+    st.sampled_from("\v\f\x1c\x1d\x1e\x1f"),  # blanks to numpy's reader
+    st.sampled_from(["nan", "inf", "1e999", "1e-999", "1" * 19, ",0", "\n0,0,1,0"]),
+)
+
+
+class TestCountsReaders:
+    @pytest.mark.parametrize("body, c_reads", [case[1:] for case in READER_CORPUS],
+                             ids=[case[0] for case in READER_CORPUS])
+    def test_c_reader_agrees_with_the_line_reader(self, body, c_reads):
+        fast = assert_readers_agree(COUNTS_HEADER + "\n" + body)
+        assert (fast is not None) == c_reads
+
+    @pytest.mark.parametrize("header, good", [(COUNTS_HEADER + "\r\n", True), (f"  {COUNTS_HEADER}\t\n", True),
+                                              (f"\n{COUNTS_HEADER}\n", False), (COUNTS_HEADER.upper() + "\n", False),
+                                              ("", False), ("\r\n", False)])
+    def test_header_is_checked_before_either_reader(self, header, good):
+        if good:
+            assert_same_bits(qellip.cli.parse_counts_csv(header + GOOD_ROWS),
+                             qellip.cli.parse_counts_csv(COUNTS_HEADER + "\n" + GOOD_ROWS))
+        else:
+            with pytest.raises(qellip.cli.DataError, match="^expected header"):
+                qellip.cli.parse_counts_csv(header + GOOD_ROWS)
+
+    def test_golden_csv_is_read_in_c(self):
+        assert assert_readers_agree((GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text()) is not None
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(FIELD_ANGLES, FIELD_ANGLES, FIELD_DWELLS, FIELD_COUNTS).map(",".join), max_size=6),
+        end=st.sampled_from(["\n", "\r\n"]),
+        splices=st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), SPLICES), max_size=4),
+    )
+    def test_c_reader_agrees_on_spliced_rows(self, rows, end, splices):
+        text = end.join([COUNTS_HEADER, *rows]) + end
+        for at_edge, k, piece in splices:
+            # past the header line's break, so the header stays: anywhere, or where a field starts or ends
+            places = range(len(COUNTS_HEADER) + 1, len(text) + 1)
+            if at_edge:
+                places = [j for j in places if text[j - 1] in ",\r\n" or text[j:j + 1] in (",", "\r", "\n")]
+            position = places[k % len(places)]
+            text = text[:position] + piece + text[position:]
+        assert_readers_agree(text)
