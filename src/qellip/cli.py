@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _ascii
 from .classical import ClassicalInstrument, classical_psi_estimate
 from .estimate import FitError, least_squares_fit, three_angle_from_counts, three_angle_invert
 from .experiment import (
@@ -220,9 +220,12 @@ def _write_text(text: str, out_path):
 
 def _round9(obj):
     """Round all floats to 9 significant digits for stable serialization;
-    a non-finite float becomes None (JSON null): NaN is not JSON."""
+    a non-finite float becomes None (JSON null): NaN is not JSON.  An array
+    is written as its list."""
     if isinstance(obj, float):
         return float(f"{obj:.9g}") if math.isfinite(obj) else None
+    if isinstance(obj, np.ndarray):
+        return _round9(obj.tolist())
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -230,16 +233,23 @@ def _round9(obj):
     return obj
 
 
-def _residual_block(xs: list) -> str:
-    """json.dumps(_round9(xs), indent=2) for a non-empty list of floats, as
-    the value of a top-level key, formatted in one C-level pass.
+def _residual_block(xs) -> str:
+    """json.dumps(_round9(xs), indent=2) for a non-empty sequence of floats,
+    as the value of a top-level key.
 
-    A %.9g token reads as the float _round9 gives, and where it has a "."
-    and no exponent its digits are that float's repr.  The other tokens
+    _ascii.residual_block writes it from digit tables where every value
+    has 1e-4 <= |x| < 1e8 and none falls on a rounding midpoint (see
+    there).  Otherwise the body below writes it, in one C-level pass: a
+    %.9g token reads as the float _round9 gives, and where it has a "." and
+    no exponent its digits are that float's repr.  The other tokens
     (integral values, exponent forms, which %g starts at 1e9 and repr at
     1e16, inf and nan) are written again by json.
     """
-    text = ("%.9g\n" * len(xs)) % tuple(xs)
+    xs = np.asarray(xs, dtype=np.float64)
+    text = _ascii.residual_block(xs)
+    if text is not None:
+        return text
+    text = ("%.9g\n" * len(xs)) % tuple(xs.tolist())
     if text.count(".") != len(xs) or "e" in text or "n" in text:
         text = "".join((tok if "." in tok and "e" not in tok and "n" not in tok
                         else json.dumps(_round9(float(tok)))) + "\n" for tok in text.split())
@@ -250,12 +260,12 @@ def _write_json(report: dict, out_path):
     """Write json.dumps(_round9(report), indent=2, allow_nan=False) and a
     newline.
 
-    A report's "residuals" (a list of floats) is formatted by
+    A report's "residuals" (a list or float64 array) is formatted by
     _residual_block and spliced in where json wrote an empty list.  The
     splice point cannot occur inside a string, where json escapes quotes.
     """
     residuals = report.get("residuals")
-    if not residuals:
+    if residuals is None or not len(residuals):
         _write_text(json.dumps(_round9(report), indent=2, allow_nan=False) + "\n", out_path)
         return
     text = json.dumps(_round9({**report, "residuals": []}), indent=2, allow_nan=False)
@@ -266,11 +276,19 @@ def _write_json(report: dict, out_path):
 def _csv_text(header: str, formats, columns) -> str:
     """The header line, then one line per row of the equal-length column
     arrays, each field written by its % format and the fields joined by
-    commas, in one C-level pass over the interleaved columns.
+    commas.
 
-    A column whose values are all equal bitwise (so -0.0 and 0.0 stay apart)
-    is written once and baked into the row format.
+    _ascii.csv_text writes it from digit tables where every format is %.6f
+    or %d, each %.6f value is finite with |x|·1e6 < 2**52 and none falls
+    on a rounding midpoint, and each count is in [0, 1e8) (see there).
+    Otherwise the body below writes it, in one C-level pass over the
+    interleaved columns.  In both, a column whose values are all equal
+    bitwise (so -0.0 and 0.0 stay apart) is written once and baked into the
+    row format.
     """
+    text = _ascii.csv_text(header, formats, columns)
+    if text is not None:
+        return text
     n = len(columns[0])
     fields, varying = [], []
     for fmt, column in zip(formats, columns):
@@ -296,12 +314,16 @@ def parse_counts_csv(text: str) -> CountTable:
     """Parse the counts CSV into a CountTable (angles -> radians).
 
     _read_lines defines the format and every message.  numpy's C reader is
-    tried first on the same lines, and what it refuses goes to _read_lines.
+    tried first on the same lines, and once more without the whitespace-only
+    lines, which it refuses and _read_lines skips.  What it still refuses
+    goes to _read_lines.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != COUNTS_HEADER:
         raise DataError(f"expected header '{COUNTS_HEADER}'")
     table = _read_in_c(text, lines)
+    if table is None and any(map(str.isspace, lines)):
+        table = _read_in_c(text, [lines[0], *filter(str.strip, lines[1:])])
     return _read_lines(lines) if table is None else table
 
 
@@ -408,7 +430,7 @@ def _estimate_report(estimate, records, det: DetectorModel, ground_truth) -> dic
         "C_hat": estimate.C_hat,
         "cov": cov_deg.tolist(),
         "warnings": list(estimate.warnings),
-        "residuals": residuals.tolist(),
+        "residuals": residuals,
         "detector": {
             "eta1": det.eta1,
             "eta2": det.eta2,
@@ -517,8 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a bad command line (2), --help or --version (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -333,11 +333,13 @@ class TestEstimate:
         assert json.loads(out.read_text())["ground_truth"] == {"psi_deg": 45.0, "delta_deg": 0.0}
         assert run(["estimate", csv, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["ground_truth"] is None
-        with pytest.raises(SystemExit) as caught:
-            run(["estimate", csv, "--method", "none"])
-        assert caught.value.code == 2
+        assert run(["estimate", csv, "--method", "none"]) == 2
         assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
+
+    def test_version_prints_and_returns_0(self, capsys):
+        assert run(["--version"]) == 0
+        assert capsys.readouterr().out == f"qellip {__version__}\n"
 
     def test_report_keys_and_residuals(self, tmp_path):
         cfg = write_config(tmp_path, MIRROR_CONFIG)
@@ -1162,6 +1164,25 @@ class TestCountsReaders:
 
     def test_golden_csv_is_read_in_c(self):
         assert assert_readers_agree((GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text()) is not None
+
+    @pytest.mark.parametrize("body", ["0,45,1,100\n \t \n30,45,1,130\n", GOOD_ROWS + "  \n",
+                                      " \n\n" + GOOD_ROWS.replace("\n", "\r\n\t\r\n")])
+    def test_whitespace_only_lines_are_read_in_c(self, monkeypatch, body):
+        # the C reader refuses them, and is tried again without them
+        text = COUNTS_HEADER + "\n" + body
+        table = qellip.cli._read_lines(text.splitlines())
+        assert qellip.cli._read_in_c(text, text.splitlines()) is None
+
+        def refused(lines):
+            raise AssertionError("read by the line reader")
+
+        monkeypatch.setattr(qellip.cli, "_read_lines", refused)
+        assert_same_bits(qellip.cli.parse_counts_csv(text), table)
+
+    def test_whitespace_only_lines_keep_the_line_readers_messages(self):
+        text = COUNTS_HEADER + "\n0,45,1,100\n  \n30,45,0,130\n \n45,45,1,x\n"
+        with pytest.raises(qellip.cli.DataError, match="^line 4: duration must be finite and positive$"):
+            qellip.cli.parse_counts_csv(text)
 
     @settings(max_examples=400, deadline=None)
     @given(
