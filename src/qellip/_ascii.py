@@ -7,7 +7,7 @@ variants where leading or trailing zeros are NUL; the fourth byte of a word
 is NUL, or the separator that follows the field.  Every unused byte is NUL,
 and one bytes.translate drops them all.
 
-Exactness.  A field is the integer nearest x·10^d for a d of at most 12, so
+Exactness.  A field is the integer nearest x·10^d for a d of at most 22, so
 10^d is exact in a double and y = fl(|x|·10^d) comes from one rounding.
 Below 2**52 every half-integer m + 1/2 is a double and rounding to nearest
 is monotone, so rint(y) is the integer nearest the exact product, which is
@@ -17,11 +17,13 @@ on it, to be broken to even on the exact value), and None is returned.
 For %.9g the same rint also decides whether the rounding carries into the
 next power of ten, so that y must not be a midpoint either.
 
-Domain, outside which None is returned:
+Domain, outside which None is returned (and cli writes the text by its
+definition):
 - "%.6f": finite float64 with |x|·10^6 < 2**52;
-- "%d": int64 in [0, 10**8);
-- %.9g residuals: float64 with 1e-4 <= |r| < 1e8, written as
-  cli._residual_block writes them.
+- "%d": every non-negative int64;
+- %.9g residuals: float64 with 1e-14 <= |r| < 1e8, written as
+  cli._residual_block writes them.  The double nearest 1e-14 lies below
+  10^-14 and is outside.
 The range is checked before anything is scaled, so nothing overflows.
 """
 
@@ -56,10 +58,15 @@ LEAD, TRAIL, LEAD_NUL, TRAIL_NUL = 1000, 2000, 3000, 4000  # FULL is at 0
 _END = {sep: _words("\0\0\0" + sep)[0, 0] for sep in ".,\n"}  # a word's last byte
 _MINUS = _words("-")[0, 0]
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
-# 1e-4 to 1e7: each literal is its power of ten or, below 1, the double just
-# above it, so |r| >= _EXP_FROM[k] exactly where |r| >= 10^(k - 4)
-_EXP_FROM = np.array([float(f"1e{k}") for k in range(-4, 8)])
-_SCALE = np.array([float(10**k) for k in range(13)])  # exact powers of ten
+# 1e-14 to 1e7: each literal is its power of ten or, where it rounds below
+# it (1e-14, 1e-12, 1e-11, 1e-7 and 1e-6), the double just above, so that
+# |r| >= _EXP_FROM[k] exactly where |r| >= 10^(k - 14)
+_EXP_FROM = np.array([float(f"1e{k}") for k in range(-14, 8)])
+_EXP_FROM[[0, 2, 3, 7, 8]] = np.nextafter(_EXP_FROM[[0, 2, 3, 7, 8]], 1.0)
+_SCALE = np.array([float(10**k) for k in range(23)])  # exact powers of ten
+# at e + 14 the word that ends %.9g's exponent form: "e-14" to "e-05" for
+# e = -14 to -5, then NUL for e = -4 to 8
+_EXP_WORD = _words("e-14e-13e-12e-11e-10e-09e-08e-07e-06e-05" + "\0" * 52)[0]
 
 
 def _groups(v, count: int):
@@ -91,12 +98,13 @@ def _padded(v, count: int):
     return [_TABLE[g] for g, _ in _groups(v, count)[::-1]]
 
 
-def _trimmed(v, count: int):
+def _trimmed(v, count: int, top=TRAIL):
     """Words of v (int64, 0 <= v < 1000**count) as 3·count digits with
-    leading zeros, the trailing zeros NUL down to at least one digit."""
+    leading zeros, the trailing zeros NUL down to at least one digit, or
+    down to none where top is TRAIL_NUL."""
     words, zero_below = [], True
     for k, (g, _) in enumerate(_groups(v, count)):
-        words.append(_TABLE[g + zero_below * (TRAIL if k == count - 1 else TRAIL_NUL)])
+        words.append(_TABLE[g + zero_below * (top if k == count - 1 else TRAIL_NUL)])
         zero_below = zero_below & (g == 0)
     return words[::-1]
 
@@ -130,7 +138,7 @@ def _fixed6(x):
 
 def _digits(k):
     """Words of k (int64) as "%d" writes it, or None."""
-    if k.dtype != np.int64 or not ((k >= 0) & (k < 10**8)).all():
+    if k.dtype != np.int64 or not (k >= 0).all():
         return None
     return _integer(k)
 
@@ -177,21 +185,23 @@ def csv_text(header: str, formats, columns):
 
 def residual_block(r):
     """cli._residual_block(r) for a float64 array r, or None outside the
-    domain (an empty r included).
+    domain (an empty r included): 10^-14 <= |r| < 1e8 for every value.
 
     Each value is its nine significant digits q = rint(|r|·10^(8 - e)), where
     e is the decimal exponent of |r|, so that 10**8 <= q <= 10**9.  Where q
     is 10**9 the rounding carried: the digits are then 10**8 and e is one
-    higher, as %.9g takes its exponent after rounding.  The point goes after
-    digit e + 1, or "0." and -e - 1 zeros come first where e < 0.  Trailing
-    zeros of the fraction are cut, down to one: an integral value reads
-    "12.0", as json writes it.
+    higher, as %.9g takes its exponent after rounding.  From e = -4 up, the
+    point goes after digit e + 1, or "0." and -e - 1 zeros come first where
+    e < 0, and trailing zeros of the fraction are cut, down to one: an
+    integral value reads "12.0", as json writes it.  Below e = -4, %.9g and
+    repr both write the exponent form: the point after the first digit, the
+    fraction cut down to none (and then no point), and "e-05" to "e-14".
     """
     n = len(r)
     a = np.abs(r)
-    if not (n and ((a >= 1e-4) & (a < 1e8)).all()):  # also false for NaN
+    if not (n and ((a >= _EXP_FROM[0]) & (a < 1e8)).all()):  # also false for NaN
         return None
-    e = np.searchsorted(_EXP_FROM, a, side="right") - 5
+    e = np.searchsorted(_EXP_FROM, a, side="right") - 15
     y = a * _SCALE[8 - e]
     q = np.rint(y)
     if _on_midpoint(y, q):
@@ -199,13 +209,21 @@ def residual_block(r):
     carried = q == 1e9
     e += carried
     q = np.where(carried, 10**8, q.astype(np.int64))
-    p = _POW10[8 - e]
+    exponent = e < -4
+    point, dot, top, tail = e, _END["."], TRAIL, []  # the point follows digit point + 1
+    if exponent.any():
+        bare = exponent & (q % 10**8 == 0)  # "1e-05": no point, no fraction digits
+        point = np.where(exponent, 0, e)
+        dot = np.where(bare, 0, dot)
+        top = np.where(bare, TRAIL_NUL, TRAIL)
+        tail = [_EXP_WORD[e + 14]]
+    p = _POW10[8 - point]
     whole = q // p
-    # the 8 - e digits after the point, then zeros up to whole triples
-    count = max(1, -((int(e.min()) - 8) // 3))
-    frac = (q - whole * p) * _POW10[3 * count - 8 + e]
+    # the 8 - point digits after the point, then zeros up to whole triples
+    count = max(1, -((int(point.min()) - 8) // 3))
+    frac = (q - whole * p) * _POW10[3 * count - 8 + point]
     words = _integer(whole)
-    words[-1] = words[-1] | _END["."]
+    words[-1] = words[-1] | dot
     sign = np.where(r < 0, _words("  -")[0, 0], _words("  ")[0, 0])
-    words = [_words(",\n  "), sign, *words, *_trimmed(frac, count)]
+    words = [_words(",\n  "), sign, *words, *_trimmed(frac, count, top), *tail]
     return "[" + _text(words, n)[1:] + "\n  ]"

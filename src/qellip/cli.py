@@ -238,22 +238,14 @@ def _residual_block(xs) -> str:
     as the value of a top-level key.
 
     _ascii.residual_block writes it from digit tables where every value
-    has 1e-4 <= |x| < 1e8 and none falls on a rounding midpoint (see
-    there).  Otherwise the body below writes it, in one C-level pass: a
-    %.9g token reads as the float _round9 gives, and where it has a "." and
-    no exponent its digits are that float's repr.  The other tokens
-    (integral values, exponent forms, which %g starts at 1e9 and repr at
-    1e16, inf and nan) are written again by json.
+    has 1e-14 <= |x| < 1e8 and none falls on a rounding midpoint (see
+    there).  Otherwise that definition writes it, indented two more spaces.
     """
     xs = np.asarray(xs, dtype=np.float64)
     text = _ascii.residual_block(xs)
     if text is not None:
         return text
-    text = ("%.9g\n" * len(xs)) % tuple(xs.tolist())
-    if text.count(".") != len(xs) or "e" in text or "n" in text:
-        text = "".join((tok if "." in tok and "e" not in tok and "n" not in tok
-                        else json.dumps(_round9(float(tok)))) + "\n" for tok in text.split())
-    return "[\n    " + text[:-1].replace("\n", ",\n    ") + "\n  ]"
+    return json.dumps(_round9(xs.tolist()), indent=2).replace("\n", "\n  ")
 
 
 def _write_json(report: dict, out_path):
@@ -280,28 +272,14 @@ def _csv_text(header: str, formats, columns) -> str:
 
     _ascii.csv_text writes it from digit tables where every format is %.6f
     or %d, each %.6f value is finite with |x|·1e6 < 2**52 and none falls
-    on a rounding midpoint, and each count is in [0, 1e8) (see there).
-    Otherwise the body below writes it, in one C-level pass over the
-    interleaved columns.  In both, a column whose values are all equal
-    bitwise (so -0.0 and 0.0 stay apart) is written once and baked into the
-    row format.
+    on a rounding midpoint, and each count is non-negative (see there).
+    Otherwise that definition writes it, row by row.
     """
     text = _ascii.csv_text(header, formats, columns)
     if text is not None:
         return text
-    n = len(columns[0])
-    fields, varying = [], []
-    for fmt, column in zip(formats, columns):
-        bits = column.view(np.uint64)  # float64 and int64 columns
-        if n and (bits == bits[0]).all():
-            fields.append((fmt % column[0].item()).replace("%", "%%"))
-        else:
-            fields.append(fmt)
-            varying.append(column.tolist())
-    flat = [0] * (n * len(varying))
-    for j, column in enumerate(varying):
-        flat[j::len(varying)] = column
-    return header + "\n" + ((",".join(fields) + "\n") * n) % tuple(flat)
+    row = ",".join(formats) + "\n"
+    return header + "\n" + "".join([row % r for r in zip(*(c.tolist() for c in columns))])
 
 
 def counts_csv(records) -> str:

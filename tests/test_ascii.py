@@ -16,6 +16,7 @@ from qellip import _ascii
 
 FIXED_COUNTS = ("%.6f", "%d")
 BELOW_2_52 = 2**52 / 1e6  # |x| where |x|·1e6 reaches 2**52
+LOWEST = math.nextafter(1e-14, 1.0)  # the least double >= 10^-14; 1e-14 itself lies below
 
 
 def by_percent_csv(formats, columns):
@@ -82,7 +83,8 @@ class TestCsvCorpus:
 
     @pytest.mark.parametrize("counts, answered", [
         ([0, 1], True), ([9_999, 10_000], True), ([0, 10**8 - 1], True), ([10**7, 10**3, 7], True),
-        ([0, 10**8], False), ([5, -1], False), ([0, 2**63 - 1], False), ([-(2**63), 0], False),
+        ([0, 10**8], True), ([5, -1], False), ([0, 2**63 - 1], True), ([-(2**63), 0], False),
+        ([10**9 - 1, 10**9, 10**12, 10**18 - 1, 10**18], True), ([2**63 - 1, -1], False),
     ])
     def test_counts_domain(self, counts, answered):
         columns = (np.array([1.5] * len(counts)), np.array(counts))
@@ -115,19 +117,33 @@ class TestResidualCorpus:
         (9.9999999995, "10.0"), (-9.99999999449, "-9.99999999"), (12.0, "12.0"), (1.5, "1.5"),
         (0.1, "0.1"), (0.123456789012, "0.123456789"), (-3.14159265358979, "-3.14159265"),
         (12345678.9, "12345678.9"), (0.000999999999999, "0.001"), (1e7, "10000000.0"),
+        # carried from e = -5 up to e = -4, which is written in fixed form
+        (9.99999999999e-5, "0.0001"),
+        # %.9g's exponent form, which is also repr's
+        (2.57908974e-05, "2.57908974e-05"), (-9.87654321e-05, "-9.87654321e-05"), (1e-05, "1e-05"),
+        (-1e-05, "-1e-05"), (1.2e-08, "1.2e-08"), (1.5e-10, "1.5e-10"), (1.00000001e-09, "1.00000001e-09"),
+        (1.23456789e-14, "1.23456789e-14"), (LOWEST, "1e-14"),
+        # carries within the exponent form, and a near miss
+        (9.9999999996e-06, "1e-05"), (-9.99999999949e-13, "-1e-12"), (-9.99999999449e-13, "-9.99999999e-13"),
+        # literals that round below their power of ten, and the double above each
+        (1e-06, "1e-06"), (1e-07, "1e-07"), (1e-11, "1e-11"), (1e-12, "1e-12"),
+        (math.nextafter(1e-06, 1.0), "1e-06"), (math.nextafter(1e-07, 1.0), "1e-07"),
+        (math.nextafter(1e-11, 1.0), "1e-11"), (math.nextafter(1e-12, 1.0), "1e-12"),
     ])
     def test_answered_token(self, r, token):
         assert kernel_residuals([r, 2.0]) == f"[\n    {token},\n    2.0\n  ]"
 
     @pytest.mark.parametrize("r", [12345678.25, 1234567.125, 123456.0625, -1.001953125,
                                    # 999999999.5, where the carry is decided; %.9g does not carry
-                                   99999.99995, -999.9999995, 9.999999995])
+                                   99999.99995, -999.9999995, 9.999999995,
+                                   # in the exponent form
+                                   1.234567895e-07, -1.000000005e-10, 9.876543215e-14])
     def test_midpoint_returns_none(self, r):
         assert residual_midpoint(r)
         assert kernel_residuals([1.0, r]) is None
 
-    @pytest.mark.parametrize("r", [0.0, -0.0, 9.99999999999e-5, 5e-324, 1e8, -1e8, 123456789.4, 1e303,
-                                   math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("r", [0.0, -0.0, 5e-324, 1e8, -1e8, 123456789.4, 1e303,
+                                   math.inf, -math.inf, math.nan, 1e-14, -1e-14, 9.99999999e-15])
     def test_out_of_range_returns_none_without_warnings(self, r):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -138,12 +154,14 @@ class TestResidualCorpus:
 
     def test_exponent_table_is_exact(self):
         # searchsorted over the literals gives the decimal exponent of |r| itself
-        for k, x in enumerate(_ascii._EXP_FROM.tolist(), start=-4):
+        assert _ascii._EXP_FROM[0] == LOWEST
+        for k, x in enumerate(_ascii._EXP_FROM.tolist(), start=-14):
             assert Decimal(math.nextafter(x, 0.0)) < Decimal(10) ** k <= Decimal(x)
 
     def test_mixed_exponents_share_one_layout(self):
         r = [1e-4, -0.00123, 0.5, 7.0, -42.125, 999.0, 123456.7, -99999999.9]
         assert kernel_residuals(r) is not None
+        assert kernel_residuals(r + [2.5e-05, -3e-14, 1e-05]) is not None
 
 
 FIXED_VALUES = st.one_of(
@@ -162,17 +180,18 @@ def near_carry(k, below, ulps):
 
 
 RESIDUALS = st.one_of(
-    st.floats(1e-4, 1e8, exclude_max=True),
-    st.floats(-1e8, -1e-4, exclude_min=True),
+    st.floats(LOWEST, 1e8, exclude_max=True),
+    st.floats(-1e8, -LOWEST, exclude_min=True),
     st.integers(10**4, 10**12 - 1).map(lambda k: k / 10**4),  # decimal-looking values
     st.integers(1, 10**8 - 1).map(lambda k: k / 8),  # midpoints among them
-    st.builds(near_carry, st.integers(-3, 7), st.sampled_from([5e-10, 5e-9]), st.integers(-40, 40)),
+    st.builds(lambda m, k: float(f"{m}e{k}"), st.integers(1, 999), st.integers(-13, -5)),  # exponent forms
+    st.builds(near_carry, st.integers(-13, 7), st.sampled_from([5e-10, 5e-9]), st.integers(-40, 40)),
 )
 
 
 class TestProperties:
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.tuples(FIXED_VALUES, FIXED_VALUES, st.integers(0, 10**8 - 1)), min_size=1,
+    @given(rows=st.lists(st.tuples(FIXED_VALUES, FIXED_VALUES, st.integers(0, 2**63 - 1)), min_size=1,
                          max_size=40))
     def test_csv_answers_exactly_off_the_midpoints(self, rows):
         x, x2, k = (np.array(c) for c in zip(*rows))

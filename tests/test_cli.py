@@ -1001,6 +1001,38 @@ class TestWriters:
         report = report_with(residuals, SPLICE_WARNINGS)
         assert written_json(report) == reference_json(report)
 
+    def test_benchmark_sweep_with_a_residual_under_1e_4_is_written_by_the_digit_tables(self, tmp_path,
+                                                                                        monkeypatch):
+        # The benchmark's 10 000-row plan, film and detector at a seed whose
+        # fit leaves one residual of 3.7e-05, which %.9g writes in exponent form.
+        config = dict(FILM_CONFIG, seed=7154488413573062585,
+                      plan={"theta2_deg": 45.0, "dwell_s": 1.0,
+                            "sweep": {"start": 0.0, "stop": 180.0 / 10_000 * 9_999, "step": 180.0 / 10_000}})
+        real, answers, reports = qellip.cli._ascii.residual_block, [], []
+
+        def answered(r):
+            answers.append(real(r))
+            return answers[-1]
+
+        def recorded(report, out_path):
+            reports.append(report)
+            _write_json(report, out_path)
+
+        monkeypatch.setattr(qellip.cli._ascii, "residual_block", answered)
+        monkeypatch.setattr(qellip.cli, "_write_json", recorded)
+        cfg = write_config(tmp_path, config)
+        counts, report = tmp_path / "counts.csv", tmp_path / "report.json"
+        assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
+        assert run(["estimate", str(counts), "--method", "fit", "--eta1", "0.2", "--eta2", "0.3",
+                    "--accidental-per-s", "5", "--visibility", "0.97", "--out", str(report)]) == 0
+        assert len(reports) == 1 and report.read_text() == reference_json(reports[0])
+        assert np.abs(reports[0]["residuals"]).min() < 1e-4
+        assert len(answers) == 1 and answers[0] is not None
+        assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
+            "b43eed87268eb863b67ecd1dd2ebbc0be4702f29db2d147e159c244b28e5323c")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "80f0f2964729141c706a894f471e1998e8fa347560bb673393a48dc5b7498a9b")
+
     @pytest.mark.parametrize("n", [0, 1, 7, 2000])
     def test_counts_csv_matches_per_row_reference(self, n):
         rng = np.random.default_rng(n)
