@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, _ascii
 from .classical import ClassicalInstrument, classical_psi_estimate
-from .estimate import FitError, least_squares_fit, three_angle_from_counts, three_angle_invert
+from .estimate import FitError, _fit, three_angle_from_counts, three_angle_invert
 from .experiment import (
     AcquisitionPlan,
     CountTable,
@@ -394,12 +394,10 @@ def _ground_truth(args):
     return {"psi_deg": psi, "delta_deg": delta}
 
 
-def _estimate_report(estimate, records, det: DetectorModel, ground_truth) -> dict:
+def _estimate_report(estimate, terms, dur, k, det: DetectorModel, ground_truth) -> dict:
     to_deg = np.array([1.0, 180.0 / math.pi, 180.0 / math.pi])  # elementwise: no inf * 0 where var C overflows
     cov_deg = estimate.covariance * to_deg[:, None] * to_deg
-    t1, t2, dur, k = record_columns(records)
-    residuals = k - mean_counts(analyzer_terms(t1, t2), dur, estimate.C_hat, estimate.beta_hat,
-                                estimate.delta_mag_hat, det)
+    residuals = k - mean_counts(terms, dur, estimate.C_hat, estimate.beta_hat, estimate.delta_mag_hat, det)
     return {
         "version": __version__,
         "method": estimate.method,
@@ -438,14 +436,19 @@ def cmd_estimate(args) -> int:
     if not (np.diff(records.theta1) > 0).all():
         records = records[np.lexsort((records.counts, records.duration, records.theta2, records.theta1))]
 
-    estimator = three_angle_from_counts if args.method == "three-angle" else least_squares_fit
+    # Built once: the fit and the report residuals of either method share these arrays.
+    t1, t2, dur, k = record_columns(records)
+    terms = np.array(analyzer_terms(t1, t2))
     try:
-        estimate, failures = estimator(records, det), []
+        if args.method == "three-angle":
+            estimate, failures = three_angle_from_counts(records, det), []
+        else:
+            estimate, failures = _fit(terms, dur, k, det), []
     except LookupError as exc:
         raise DataError(str(exc)) from exc
     except FitError as exc:
         estimate, failures = exc.estimate, [str(exc)]
-    report = _estimate_report(estimate, records, det, ground_truth)
+    report = _estimate_report(estimate, terms, dur, k, det, ground_truth)
     # The estimators raise on a non-finite covariance, but the scaling to degrees can overflow a finite one.
     if not (failures or np.isfinite(report["cov"]).all()):
         failures = ["covariance is not finite"]

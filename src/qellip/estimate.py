@@ -340,7 +340,11 @@ def least_squares_fit(
     linear seed, unidentifiable plans and at visibility 0.
     """
     t1, t2, dur, k = record_columns(records)
-    terms = np.array(analyzer_terms(t1, t2))
+    return _fit(np.array(analyzer_terms(t1, t2)), dur, k, det, init)
+
+
+def _fit(terms, dur, k, det: DetectorModel, init=None) -> EllipsometricEstimate:
+    """least_squares_fit (see its docstring) on the (3, n) analyzer terms, dwells and float counts."""
     with np.errstate(all="ignore"):
         u0 = _linear_seed(terms, dur, k, det)  # also the identifiability checks
         if init is not None:

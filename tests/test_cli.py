@@ -164,9 +164,15 @@ class TestSimulate:
         cfg = write_config(tmp_path, MIRROR_CONFIG)  # 0:180:15, 13 points
         assert run(["fringe", "--config", cfg, "--out", str(tmp_path / "fringe.csv")]) == code
 
-    def test_2000_row_sweep_and_fit_report_digests(self, tmp_path):
+    @pytest.mark.parametrize("method, report_digest", [
+        ("fit", "f96636833fdeb1005aba0f3d1d576fe1cbe10dcf520b53c1ce5ae5481affefbf"),
+        ("three-angle", "4bca6ae637b3106843b053a54a1e41bba639e8ff711637ad063fab0185d3973b"),
+    ], ids=["fit", "three-angle"])
+    def test_2000_row_sweep_and_fit_report_digests(self, tmp_path, method, report_digest):
         # A film on silicon at the benchmark's detector, 2 000 rows and a seed
-        # above 2**63; both digests were taken from the per-record draw loop.
+        # above 2**63; the CSV and fit digests were taken from the per-record
+        # draw loop, the three-angle digest before the estimators and the
+        # report residuals shared one build of the analyzer terms.
         config = {
             "sample": {"type": "stack", "wavelength_nm": 632.8, "angle_deg": 70.0, "n_ambient": 1.0,
                        "layers": [{"n_re": 1.457, "n_im": 0.0, "d_nm": 100.0}],
@@ -180,13 +186,12 @@ class TestSimulate:
         cfg = write_config(tmp_path, config)
         counts, report = tmp_path / "counts.csv", tmp_path / "report.json"
         assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
-        assert run(["estimate", str(counts), "--method", "fit", "--eta1", "0.2", "--eta2", "0.3",
+        assert run(["estimate", str(counts), "--method", method, "--eta1", "0.2", "--eta2", "0.3",
                     "--accidental-per-s", "5", "--visibility", "0.97", "--out", str(report)]) == 0
         assert counts.read_text().count("\n") == 1 + 2000
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "1b27cb8a789c7de82db45188361e9e62161e1c6f3e5a7a6239fef59ae7d03d7f")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "f96636833fdeb1005aba0f3d1d576fe1cbe10dcf520b53c1ce5ae5481affefbf")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
 
     def test_zero_sweep_step_exits_2(self, tmp_path):
         bad = dict(
@@ -605,6 +610,21 @@ class TestEstimate:
         csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
         assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
+
+    @pytest.mark.parametrize("method", ["fit", "three-angle"])
+    def test_estimate_builds_the_analyzer_terms_once(self, tmp_path, monkeypatch, method):
+        # The estimator and the report residuals share one pass over the 13 rows.
+        calls = []
+
+        def counted(theta1, theta2):
+            calls.append(len(theta1))
+            return analyzer_terms(theta1, theta2)
+
+        for module in (qellip.cli, qellip.estimate):
+            monkeypatch.setattr(module, "analyzer_terms", counted)
+        csv, out = str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), tmp_path / "report.json"
+        assert run(["estimate", csv, "--method", method, "--out", str(out)]) == 0
+        assert calls == [13]
 
     def test_fit_never_loads_scipy(self, tmp_path):
         # In a fresh interpreter: anything else in this process may have imported scipy.

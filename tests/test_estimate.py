@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +26,11 @@ from qellip import (
     three_angle_invert,
 )
 import qellip.estimate
-from qellip.estimate import _at_optimum, _nll_derivatives, fit_negative_log_likelihood
+from qellip.cli import parse_counts_csv
+from qellip.estimate import _at_optimum, _fit, _nll_derivatives, fit_negative_log_likelihood
 from qellip.experiment import analyzer_terms, record_columns
+
+GOLDEN_CSV = Path(__file__).parent / "golden" / "mirror_sweep_seed7.csv"
 
 DET = DetectorModel()
 THETA2 = math.pi / 4
@@ -388,6 +393,26 @@ class TestLeastSquaresFit:
         with pytest.raises(FitError, match="did not converge") as excinfo:
             least_squares_fit(recs, DET, init=far)
         assert excinfo.value.estimate is not None
+
+    @pytest.mark.parametrize("max_iterations", [None, 1], ids=["converged", "fit-error"])
+    def test_wrapper_adds_nothing_to_the_array_core(self, monkeypatch, max_iterations):
+        table = parse_counts_csv(GOLDEN_CSV.read_text())
+        t1, t2, dur, k = record_columns(table)
+        if max_iterations is not None:
+            monkeypatch.setattr(qellip.estimate, "_MAX_ITERATIONS", max_iterations)
+
+        def outcome(fit, *args):
+            try:
+                return fit(*args), None
+            except FitError as exc:
+                return exc.estimate, str(exc)
+
+        wrapped, wrapped_error = outcome(least_squares_fit, table, DET)
+        core, core_error = outcome(_fit, np.array(analyzer_terms(t1, t2)), dur, k, DET)
+        assert wrapped_error == core_error and (core_error is None) == (max_iterations is None)
+        for field in dataclasses.fields(EllipsometricEstimate):
+            a, b = getattr(wrapped, field.name), getattr(core, field.name)
+            assert np.array_equal(a, b) if field.name == "covariance" else a == b
 
     @pytest.mark.parametrize("shift_sigma, converged", [(0.5, False), (1e-4, True)])
     def test_newton_decrement_decides_convergence(self, monkeypatch, shift_sigma, converged):
