@@ -21,8 +21,8 @@ Domain, outside which None is returned (and cli writes the text by its
 definition):
 - "%.6f": finite float64 with |x|·10^6 < 2**52;
 - "%d": every non-negative int64;
-- %.9g residuals: float64 with 1e-14 <= |r| < 1e8, written as
-  cli._residual_block writes them.  The double nearest 1e-14 lies below
+- %.9g residuals: float64 that are 0 or have 1e-14 <= |r| < 1e8, written
+  as cli._residual_block writes them.  The double nearest 1e-14 lies below
   10^-14 and is outside.
 The range is checked before anything is scaled, so nothing overflows.
 """
@@ -185,23 +185,23 @@ def csv_text(header: str, formats, columns):
 
 def residual_block(r):
     """cli._residual_block(r) for a float64 array r, or None outside the
-    domain (an empty r included): 10^-14 <= |r| < 1e8 for every value.
+    domain (an empty r included): r = 0 or 10^-14 <= |r| < 1e8 for each value.
 
     Each value is its nine significant digits q = rint(|r|·10^(8 - e)), where
-    e is the decimal exponent of |r|, so that 10**8 <= q <= 10**9.  Where q
-    is 10**9 the rounding carried: the digits are then 10**8 and e is one
-    higher, as %.9g takes its exponent after rounding.  From e = -4 up, the
-    point goes after digit e + 1, or "0." and -e - 1 zeros come first where
-    e < 0, and trailing zeros of the fraction are cut, down to one: an
-    integral value reads "12.0", as json writes it.  Below e = -4, %.9g and
-    repr both write the exponent form: the point after the first digit, the
+    e is the decimal exponent of |r|, so that 10**8 <= q <= 10**9, and a zero
+    has e = q = 0.  Where q is 10**9 the rounding carried: the digits are then
+    10**8 and e is one higher, as %.9g takes its exponent after rounding.  From
+    e = -4 up, the point goes after digit e + 1, or "0." and -e - 1 zeros come
+    first where e < 0, and trailing zeros of the fraction are cut, down to one:
+    12 reads "12.0" and -0.0 "-0.0", as json writes them.  Below e = -4, %.9g
+    and repr both write the exponent form: the point after the first digit, the
     fraction cut down to none (and then no point), and "e-05" to "e-14".
     """
     n = len(r)
     a = np.abs(r)
-    if not (n and ((a >= _EXP_FROM[0]) & (a < 1e8)).all()):  # also false for NaN
+    if not (n and (((a >= _EXP_FROM[0]) | (a == 0)) & (a < 1e8)).all()):  # also false for NaN
         return None
-    e = np.searchsorted(_EXP_FROM, a, side="right") - 15
+    e = np.where(a == 0, 0, np.searchsorted(_EXP_FROM, a, side="right") - 15)
     y = a * _SCALE[8 - e]
     q = np.rint(y)
     if _on_midpoint(y, q):
@@ -224,6 +224,6 @@ def residual_block(r):
     frac = (q - whole * p) * _POW10[3 * count - 8 + point]
     words = _integer(whole)
     words[-1] = words[-1] | dot
-    sign = np.where(r < 0, _words("  -")[0, 0], _words("  ")[0, 0])
+    sign = np.where(np.signbit(r), _words("  -")[0, 0], _words("  ")[0, 0])
     words = [_words(",\n  "), sign, *words, *_trimmed(frac, count, top), *tail]
     return "[" + _text(words, n)[1:] + "\n  ]"

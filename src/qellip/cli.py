@@ -238,8 +238,8 @@ def _residual_block(xs) -> str:
     as the value of a top-level key.
 
     _ascii.residual_block writes it from digit tables where every value
-    has 1e-14 <= |x| < 1e8 and none falls on a rounding midpoint (see
-    there).  Otherwise that definition writes it, indented two more spaces.
+    is 0 or has 1e-14 <= |x| < 1e8 and none falls on a rounding midpoint
+    (see there).  Otherwise that definition writes it, indented two more spaces.
     """
     xs = np.asarray(xs, dtype=np.float64)
     text = _ascii.residual_block(xs)
@@ -308,10 +308,10 @@ def parse_counts_csv(text: str) -> CountTable:
 def _read_in_c(text: str, lines: list):
     """The CountTable numpy's C reader gives from the lines after the header,
     or None where it or CountTable refuses them (a warning too: no rows warns).
-    Only ASCII without \\v, \\f and \\x1c to \\x1f is tried: the reader strips
-    them as blanks, where str.splitlines breaks lines (at all but \\x1f) and
-    float() and int() fail (at \\x1c to \\x1f)."""
-    if not text.isascii() or any(c in text for c in "\v\f\x1c\x1d\x1e\x1f"):
+    Only ASCII without \\x1f is tried: the reader strips it as a blank, where
+    float() and int() refuse it.  (str.splitlines has already broken the
+    lines at the other blanks it strips: \\v, \\f and \\x1c to \\x1e.)"""
+    if not text.isascii() or "\x1f" in text:
         return None
     try:
         with warnings.catch_warnings():
@@ -396,7 +396,8 @@ def _ground_truth(args):
 
 def _estimate_report(estimate, terms, dur, k, det: DetectorModel, ground_truth) -> dict:
     to_deg = np.array([1.0, 180.0 / math.pi, 180.0 / math.pi])  # elementwise: no inf * 0 where var C overflows
-    cov_deg = estimate.covariance * to_deg[:, None] * to_deg
+    with np.errstate(over="ignore"):  # cmd_estimate reports a covariance that overflows in degrees
+        cov_deg = estimate.covariance * to_deg[:, None] * to_deg
     residuals = k - mean_counts(terms, dur, estimate.C_hat, estimate.beta_hat, estimate.delta_mag_hat, det)
     return {
         "version": __version__,

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -54,6 +55,19 @@ def write_config(tmp_path, config, name="config.json"):
 
 def run(args):
     return main(args)
+
+
+def record_residual_answers(monkeypatch):
+    """The list that each later _ascii.residual_block call appends its
+    answer to: the text, or None where the % definition writes it."""
+    real, answers = qellip.cli._ascii.residual_block, []
+
+    def answered(r):
+        answers.append(real(r))
+        return answers[-1]
+
+    monkeypatch.setattr(qellip.cli._ascii, "residual_block", answered)
+    return answers
 
 
 class TestSimulate:
@@ -168,7 +182,7 @@ class TestSimulate:
         ("fit", "f96636833fdeb1005aba0f3d1d576fe1cbe10dcf520b53c1ce5ae5481affefbf"),
         ("three-angle", "4bca6ae637b3106843b053a54a1e41bba639e8ff711637ad063fab0185d3973b"),
     ], ids=["fit", "three-angle"])
-    def test_2000_row_sweep_and_fit_report_digests(self, tmp_path, method, report_digest):
+    def test_2000_row_sweep_and_fit_report_digests(self, tmp_path, monkeypatch, method, report_digest):
         # A film on silicon at the benchmark's detector, 2 000 rows and a seed
         # above 2**63; the CSV and fit digests were taken from the per-record
         # draw loop, the three-angle digest before the estimators and the
@@ -183,11 +197,13 @@ class TestSimulate:
                      "dwell_s": 1.0},
             "seed": 2**63 + 5,
         }
+        answers = record_residual_answers(monkeypatch)
         cfg = write_config(tmp_path, config)
         counts, report = tmp_path / "counts.csv", tmp_path / "report.json"
         assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
         assert run(["estimate", str(counts), "--method", method, "--eta1", "0.2", "--eta2", "0.3",
                     "--accidental-per-s", "5", "--visibility", "0.97", "--out", str(report)]) == 0
+        assert len(answers) == 1 and answers[0] is not None  # written by the digit tables
         assert counts.read_text().count("\n") == 1 + 2000
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "1b27cb8a789c7de82db45188361e9e62161e1c6f3e5a7a6239fef59ae7d03d7f")
@@ -526,6 +542,26 @@ class TestEstimate:
         assert report["cov"][0][0] is None
         assert report["cov"][1][1] > 0 and report["cov"][2][2] > 0
 
+    def test_covariance_that_overflows_in_degrees_exits_4(self, tmp_path, capsys, monkeypatch):
+        # var psi = 1e305 rad^2 is finite, so the fit trusts it; times
+        # (180/pi)^2 it overflows, and only the report's check can say so
+        real = qellip.cli._fit
+
+        def wide(*args):
+            estimate = real(*args)
+            cov = estimate.covariance.copy()
+            cov[1, 1] = 1e305
+            return dataclasses.replace(estimate, covariance=cov)
+
+        monkeypatch.setattr(qellip.cli, "_fit", wide)
+        out = tmp_path / "report.json"
+        assert run(["estimate", str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["warnings"] == ["covariance is not finite"]
+        assert [[v is None for v in row] for row in report["cov"]] == [
+            [False, False, False], [False, True, False], [False, False, False]]
+
     def test_three_angle_rates_that_overflow_exit_4(self, tmp_path, capsys):
         path = tmp_path / "overflow.csv"
         path.write_text(COUNTS_HEADER + "\n" + "".join(
@@ -599,11 +635,13 @@ class TestEstimate:
         assert run(["estimate", csv, "--method", "three-angle", "--visibility", "0"]) == 4
         assert "unidentifiable" in capsys.readouterr().err
 
-    def test_three_angle_matches_committed_golden_report(self, tmp_path):
+    def test_three_angle_matches_committed_golden_report(self, tmp_path, monkeypatch):
+        answers = record_residual_answers(monkeypatch)
         out = tmp_path / "report.json"
         csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
         assert run(["estimate", csv, "--method", "three-angle", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_three_angle.json").read_bytes()
+        assert len(answers) == 1 and answers[0] is not None  # its zeros are written by the digit tables
 
     def test_fit_matches_committed_golden_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -1021,37 +1059,37 @@ class TestWriters:
         report = report_with(residuals, SPLICE_WARNINGS)
         assert written_json(report) == reference_json(report)
 
+    @pytest.mark.parametrize("method, report_digest", [
+        ("fit", "80f0f2964729141c706a894f471e1998e8fa347560bb673393a48dc5b7498a9b"),
+        ("three-angle", "39076b9686d0b5ab17ac926d50f2d111be95f6c5c8a14b5a3612182da0d4a4e6"),
+    ], ids=["fit", "three-angle"])
     def test_benchmark_sweep_with_a_residual_under_1e_4_is_written_by_the_digit_tables(self, tmp_path,
-                                                                                        monkeypatch):
+                                                                                        monkeypatch, method,
+                                                                                        report_digest):
         # The benchmark's 10 000-row plan, film and detector at a seed whose
-        # fit leaves one residual of 3.7e-05, which %.9g writes in exponent form.
+        # fit leaves one residual of 3.7e-05, which %.9g writes in exponent
+        # form; the three-angle method leaves exact zeros at its three settings.
         config = dict(FILM_CONFIG, seed=7154488413573062585,
                       plan={"theta2_deg": 45.0, "dwell_s": 1.0,
                             "sweep": {"start": 0.0, "stop": 180.0 / 10_000 * 9_999, "step": 180.0 / 10_000}})
-        real, answers, reports = qellip.cli._ascii.residual_block, [], []
-
-        def answered(r):
-            answers.append(real(r))
-            return answers[-1]
+        answers, reports = record_residual_answers(monkeypatch), []
 
         def recorded(report, out_path):
             reports.append(report)
             _write_json(report, out_path)
 
-        monkeypatch.setattr(qellip.cli._ascii, "residual_block", answered)
         monkeypatch.setattr(qellip.cli, "_write_json", recorded)
         cfg = write_config(tmp_path, config)
         counts, report = tmp_path / "counts.csv", tmp_path / "report.json"
         assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
-        assert run(["estimate", str(counts), "--method", "fit", "--eta1", "0.2", "--eta2", "0.3",
+        assert run(["estimate", str(counts), "--method", method, "--eta1", "0.2", "--eta2", "0.3",
                     "--accidental-per-s", "5", "--visibility", "0.97", "--out", str(report)]) == 0
         assert len(reports) == 1 and report.read_text() == reference_json(reports[0])
         assert np.abs(reports[0]["residuals"]).min() < 1e-4
         assert len(answers) == 1 and answers[0] is not None
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "b43eed87268eb863b67ecd1dd2ebbc0be4702f29db2d147e159c244b28e5323c")
-        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-            "80f0f2964729141c706a894f471e1998e8fa347560bb673393a48dc5b7498a9b")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
 
     @pytest.mark.parametrize("n", [0, 1, 7, 2000])
     def test_counts_csv_matches_per_row_reference(self, n):
@@ -1123,7 +1161,8 @@ READER_CORPUS = [
     ("fullwidth-digit", "\uff13\uff10,45,1,100\n", False),
     ("nbsp", "0,45,1,\xa0100\xa0\n", False),
     ("nbsp-inside", "0,45,1,1\xa000\n", False),
-    *((f"{name}-end-of-field", f"0,45,1,100{char}\n30,45,1,130\n", False)
+    # str.splitlines breaks lines at \v, \f and \x1c to \x1e, so neither reader sees them
+    *((f"{name}-end-of-field", f"0,45,1,100{char}\n30,45,1,130\n", name != "us")
       for name, char in (("vt", "\v"), ("ff", "\f"), ("fs", "\x1c"), ("gs", "\x1d"), ("rs", "\x1e"),
                          ("us", "\x1f"))),
     *((f"{name}-inside-field", f"0,4{char}5,1,100\n", False)

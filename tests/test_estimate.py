@@ -158,6 +158,11 @@ class TestThreeAngleInvert:
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (9,), (3, 3, 1)])
+    def test_covariance_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="^covariance must be 3x3$"):
+            EllipsometricEstimate(1.0, 0.5, 0.5, np.zeros(shape), method="three_angle")
+
     def test_covariance_is_the_delta_method_at_unit_dwell(self):
         # var(rate) = rate, propagated through the closed form's Jacobian
         rng = np.random.default_rng(11)

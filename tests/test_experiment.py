@@ -459,6 +459,16 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountRecord(*rows[1])
 
+    @pytest.mark.parametrize("columns", [
+        ([0.1, 0.2], [0.1, 0.2], [1.0, 1.0], [5]),
+        ([0.1], [0.1, 0.2], [1.0, 1.0], [5, 7]),
+        ([[0.1, 0.2]], [[0.1, 0.2]], [[1.0, 1.0]], [[5, 7]]),
+        (0.1, 0.2, 1.0, 5),
+    ], ids=["short-counts", "short-theta1", "2-d", "0-d"])
+    def test_columns_of_unequal_length_or_not_1d_rejected(self, columns):
+        with pytest.raises(ValueError, match="^columns must be one-dimensional and of equal length$"):
+            CountTable(*columns)
+
     def test_bad_angle_is_reported_before_a_bad_count(self):
         # the order CountRecord checks in: angles, dwell, then counts
         rows = [list(row) for row in self.ROWS]

@@ -13,6 +13,7 @@ from qellip import (
     fresnel_interface,
     psi_delta_from_coeffs,
 )
+from qellip.samples import _cos_transmitted
 
 from oracle import sample_jones
 
@@ -61,6 +62,16 @@ class TestSampleParams:
         with pytest.raises(ValueError):
             SampleParams(psi=-0.1, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="^delta must be finite$"):
+            SampleParams(psi=0.5, delta=delta)
+
+    @pytest.mark.parametrize("beta", [-1e-300, -1.0, math.nan, math.inf])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="^beta must be finite and >= 0"):
+            SampleParams.from_beta_delta(beta, 0.3)
+
 
 class TestSampleJones:
     def test_mirror_is_identity(self):
@@ -92,6 +103,14 @@ class TestFresnelInterface:
         pair = fresnel_interface(1.0, 1.5, 0.0)
         assert pair.r_s == pytest.approx(-0.2, abs=1e-12)
         assert pair.r_p == pytest.approx(+0.2, abs=1e-12)
+
+    def test_negative_index_past_its_critical_angle_decays(self):
+        # a lossless n = -0.14 at sin(theta) = 0.363: the principal root gives
+        # Im(n cos) < 0, so the branch is flipped to the decaying wave
+        n, sin_inc = -0.14, 0.363
+        ct = _cos_transmitted(n, sin_inc)
+        assert ct == -np.sqrt(complex(1.0) - (sin_inc / n) ** 2)
+        assert (n * ct).imag > 0
 
     def test_grazing_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +188,9 @@ class TestFilmStack:
         with pytest.raises(ValueError):
             FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=1.0,
                       layers=((1.5, -1e-9),), n_substrate=1.5)
+        for n_ambient in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^n_ambient must be positive$"):
+                FilmStack(wavelength=633e-9, incidence_angle=0.0, n_ambient=n_ambient, layers=(), n_substrate=1.5)
 
     @pytest.mark.parametrize("thickness", [math.nan, math.inf, 100e-9 + 0j])
     def test_non_finite_thickness_rejected(self, thickness):
@@ -247,6 +269,12 @@ class TestPsiDeltaFromCoeffs:
             psi_delta_from_coeffs(ReflectionPair(r_p=0.0, r_s=0.5))
         with pytest.raises(ValueError, match="V-null"):
             psi_delta_from_coeffs(ReflectionPair(r_p=0.5, r_s=0.0))
+
+    @pytest.mark.parametrize("r_p, r_s, name", [(math.nan, 1.0, "r_p"), (complex(0.5, math.inf), 1.0, "r_p"),
+                                                (0.5, complex(math.nan, 0.0), "r_s"), (0.5, -math.inf, "r_s")])
+    def test_non_finite_coefficient_rejected(self, r_p, r_s, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ReflectionPair(r_p=r_p, r_s=r_s)
 
     @given(beta=st.floats(0.05, 5.0), delta=st.floats(-3.1, math.pi))
     def test_round_trip_from_beta_delta(self, beta, delta):
