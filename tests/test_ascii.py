@@ -117,7 +117,7 @@ class TestResidualCorpus:
         (9.9999999995, "10.0"), (-9.99999999449, "-9.99999999"), (12.0, "12.0"), (1.5, "1.5"),
         (0.1, "0.1"), (0.123456789012, "0.123456789"), (-3.14159265358979, "-3.14159265"),
         (12345678.9, "12345678.9"), (0.000999999999999, "0.001"), (1e7, "10000000.0"),
-        # exact zeros, as the three-angle method's residuals are; json writes -0.0 with its sign
+        # zeros, as the three-angle method's residuals at its settings may be; json writes -0.0 with its sign
         (0.0, "0.0"), (-0.0, "-0.0"),
         # carried from e = -5 up to e = -4, which is written in fixed form
         (9.99999999999e-5, "0.0001"),

@@ -57,16 +57,17 @@ def run(args):
     return main(args)
 
 
-def record_residual_answers(monkeypatch):
-    """The list that each later _ascii.residual_block call appends its
-    answer to: the text, or None where the % definition writes it."""
-    real, answers = qellip.cli._ascii.residual_block, []
+def record_answers(monkeypatch, writer):
+    """The list that each later call of the digit-table writer
+    _ascii.<writer> (residual_block or csv_text) appends its answer to: the
+    text, or None where the % definition writes it."""
+    real, answers = getattr(qellip.cli._ascii, writer), []
 
-    def answered(r):
-        answers.append(real(r))
+    def answered(*args):
+        answers.append(real(*args))
         return answers[-1]
 
-    monkeypatch.setattr(qellip.cli._ascii, "residual_block", answered)
+    monkeypatch.setattr(qellip.cli._ascii, writer, answered)
     return answers
 
 
@@ -197,7 +198,7 @@ class TestSimulate:
                      "dwell_s": 1.0},
             "seed": 2**63 + 5,
         }
-        answers = record_residual_answers(monkeypatch)
+        answers = record_answers(monkeypatch, "residual_block")
         cfg = write_config(tmp_path, config)
         counts, report = tmp_path / "counts.csv", tmp_path / "report.json"
         assert run(["simulate", "--config", cfg, "--out", str(counts)]) == 0
@@ -636,17 +637,23 @@ class TestEstimate:
         assert "unidentifiable" in capsys.readouterr().err
 
     def test_three_angle_matches_committed_golden_report(self, tmp_path, monkeypatch):
-        answers = record_residual_answers(monkeypatch)
+        answers = record_answers(monkeypatch, "residual_block")
         out = tmp_path / "report.json"
         csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
         assert run(["estimate", csv, "--method", "three-angle", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_three_angle.json").read_bytes()
-        assert len(answers) == 1 and answers[0] is not None  # its zeros are written by the digit tables
+        assert len(answers) == 1 and answers[0] is not None  # its 0 and rounding noise are written by the digit tables
 
     def test_fit_matches_committed_golden_report(self, tmp_path):
         out = tmp_path / "report.json"
         csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
         assert run(["estimate", csv, "--method", "fit", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
+
+    def test_crlf_copy_gives_the_golden_fit_report(self, tmp_path):
+        crlf, out = tmp_path / "crlf.csv", tmp_path / "report.json"
+        crlf.write_bytes((GOLDEN_DIR / "mirror_sweep_seed7.csv").read_bytes().replace(b"\n", b"\r\n"))
+        assert run(["estimate", str(crlf), "--method", "fit", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
 
     @pytest.mark.parametrize("method", ["fit", "three-angle"])
@@ -752,7 +759,7 @@ class TestBaseline:
     def test_perfect_instrument_all_equal(self, tmp_path):
         cfg = write_config(tmp_path, MIRROR_CONFIG)
         out = tmp_path / "baseline.json"
-        run(["baseline", "--config", cfg, "--out", str(out)])
+        assert run(["baseline", "--config", cfg, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["classical_psi_deg"] == pytest.approx(report["true_psi_deg"], abs=1e-6)
         assert report["quantum_psi_deg"] == pytest.approx(report["true_psi_deg"], abs=1e-6)
@@ -956,6 +963,10 @@ BOUNDARY_CASES = {
     "instrument-extinction": ("simulate", dict(MIRROR_CONFIG, instrument={"extinction": 1.0}), 2,
                               "config error: instrument: extinction must lie in [0, 1)"),
     "csv-blank-rows-only": ("estimate", COUNTS_HEADER + "\n\n   \n\n", 3, "data error: no data rows"),
+    "csv-header-only": ("estimate", COUNTS_HEADER + "\n", 3, "data error: no data rows"),
+    "csv-unit-separator-after-counts": (
+        "estimate", COUNTS_HEADER + "\n0,45,1,100\x1f\n45,45,1,145\n90,45,1,190\n", 3,
+        "data error: line 2: invalid literal for int() with base 10: '100\\x1f'"),
     "unreadable-csv": ("estimate", None, 3, "data error: cannot read {path}: "),
     "visibility-flag": ("estimate", (GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text(), 2,
                         "config error: detector flags: visibility must lie in [0, 1], got 1.5"),
@@ -1068,11 +1079,12 @@ class TestWriters:
                                                                                         report_digest):
         # The benchmark's 10 000-row plan, film and detector at a seed whose
         # fit leaves one residual of 3.7e-05, which %.9g writes in exponent
-        # form; the three-angle method leaves exact zeros at its three settings.
+        # form; the three-angle method leaves 0 or rounding noise of about 1e-12 at
+        # its three settings.
         config = dict(FILM_CONFIG, seed=7154488413573062585,
                       plan={"theta2_deg": 45.0, "dwell_s": 1.0,
                             "sweep": {"start": 0.0, "stop": 180.0 / 10_000 * 9_999, "step": 180.0 / 10_000}})
-        answers, reports = record_residual_answers(monkeypatch), []
+        answers, reports = record_answers(monkeypatch, "residual_block"), []
 
         def recorded(report, out_path):
             reports.append(report)
@@ -1090,6 +1102,28 @@ class TestWriters:
         assert hashlib.sha256(counts.read_bytes()).hexdigest() == (
             "b43eed87268eb863b67ecd1dd2ebbc0be4702f29db2d147e159c244b28e5323c")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+
+    def test_mirror_at_1e9_pairs_per_s_is_written_by_the_digit_tables(self, tmp_path, monkeypatch):
+        # counts up to 999 998 423; the digest was taken where the % definition wrote every row
+        answers = record_answers(monkeypatch, "csv_text")
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, scale={"pairs_per_s": 1e9}))
+        out = tmp_path / "counts.csv"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert len(answers) == 1 and answers[0] is not None
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "634c7e477e86153511290e4073e4ae2c81db95e600b3c7df425b9bb040d452aa")
+
+    def test_fringe_too_wide_for_the_digit_tables_is_written_by_the_definition(self, tmp_path, monkeypatch):
+        # rates up to 1e303 are finite, but far beyond |x|*1e6 < 2**52: the
+        # tables decline them, and no overflow warning may escape
+        answers = record_answers(monkeypatch, "csv_text")
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, scale={"pairs_per_s": 1e303}))
+        out = tmp_path / "fringe.csv"
+        assert run(["fringe", "--config", cfg, "--out", str(out)]) == 0
+        assert answers == [None]
+        lines = out.read_text().splitlines()
+        assert lines[0] == FRINGE_HEADER and len(lines) == 1 + 13
+        assert float(lines[4].split(",")[1]) == pytest.approx(1e303)  # theta1 = 45 deg: C (1 + 1) / 2
 
     @pytest.mark.parametrize("n", [0, 1, 7, 2000])
     def test_counts_csv_matches_per_row_reference(self, n):
