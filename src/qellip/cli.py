@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 config/validation error, 3 data-schema error,
 """
 
 import argparse
-import bisect
 import functools
 import json
 import math
@@ -19,9 +18,17 @@ import numpy as np
 
 from . import __version__, _ascii
 from .classical import ClassicalInstrument, classical_psi_estimate
-from .estimate import FitError, _fit, three_angle_from_counts, three_angle_invert
+from .estimate import (
+    _THREE_ANGLE_THETA1_DEG,
+    _THREE_ANGLE_THETA2_DEG,
+    FitError,
+    _fit,
+    three_angle_from_counts,
+    three_angle_invert,
+)
 from .experiment import (
     AcquisitionPlan,
+    CountRecord,
     CountTable,
     DetectorModel,
     ExperimentScale,
@@ -292,16 +299,12 @@ def parse_counts_csv(text: str) -> CountTable:
     """Parse the counts CSV into a CountTable (angles -> radians).
 
     _read_lines defines the format and every message.  numpy's C reader is
-    tried first on the same lines, and once more without the whitespace-only
-    lines, which it refuses and _read_lines skips.  What it still refuses
-    goes to _read_lines.
+    tried first on the same lines; what it refuses, _read_lines reads.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != COUNTS_HEADER:
         raise DataError(f"expected header '{COUNTS_HEADER}'")
     table = _read_in_c(text, lines)
-    if table is None and any(map(str.isspace, lines)):
-        table = _read_in_c(text, [lines[0], *filter(str.strip, lines[1:])])
     return _read_lines(lines) if table is None else table
 
 
@@ -325,11 +328,11 @@ def _read_in_c(text: str, lines: list):
 
 def _read_lines(lines: list) -> CountTable:
     """The counts CSV's lines after the header read one at a time: the
-    definition of the format.  Blank lines are skipped, and a row is four
-    fields, angles and dwell read by float() and counts by int().  A
-    DataError names the first bad line: the first that does not read, or an
-    earlier one whose row CountTable rejects, found by bisection."""
-    rows, error = [], None
+    definition of the format.  Blank and whitespace-only lines are skipped,
+    and a row is four fields, angles and dwell read by float() and counts by
+    int(), made a CountRecord as it is read.  A DataError names the first bad
+    line: the first that does not read or whose record is rejected."""
+    records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -337,30 +340,13 @@ def _read_lines(lines: list) -> CountTable:
         try:
             if len(parts) != 4:
                 raise ValueError("expected 4 comma-separated fields")
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3]), lineno))
+            records.append(CountRecord(math.radians(float(parts[0])), math.radians(float(parts[1])),
+                                       float(parts[2]), int(parts[3])))
         except ValueError as exc:
-            error = DataError(f"line {lineno}: {exc}")
-            break
-    if not rows:
-        raise error or DataError("no data rows")
-    theta1, theta2, dwell, counts, linenos = zip(*rows)
-    theta1, theta2 = np.radians(theta1), np.radians(theta2)
-
-    def rejection(lo, hi):
-        try:
-            CountTable(theta1[lo:hi], theta2[lo:hi], dwell[lo:hi], counts[lo:hi])
-        except ValueError as exc:
-            return exc
-        return None
-
-    try:
-        table = CountTable(theta1, theta2, dwell, counts)
-    except ValueError as exc:  # the first bad row is the first that CountTable rejects with those before it
-        bad = bisect.bisect_left(range(len(rows)), True, key=lambda j: rejection(0, j + 1) is not None)
-        raise DataError(f"line {linenos[bad]}: {rejection(bad, bad + 1)}") from exc
-    if error:
-        raise error
-    return table
+            raise DataError(f"line {lineno}: {exc}") from exc
+    if not records:
+        raise DataError("no data rows")
+    return count_table(records)
 
 
 def cmd_simulate(args) -> int:
@@ -439,7 +425,7 @@ def cmd_estimate(args) -> int:
 
     # Built once: the fit and the report residuals of either method share these arrays.
     t1, t2, dur, k = record_columns(records)
-    terms = np.array(analyzer_terms(t1, t2))
+    terms = analyzer_terms(t1, t2)
     try:
         if args.method == "three-angle":
             estimate, failures = three_angle_from_counts(records, det), []
@@ -464,7 +450,8 @@ def cmd_baseline(args) -> int:
     g = cfg.instrument.gain_drift
     with np.errstate(over="ignore"):  # three_angle_invert reports an overflowing rate
         rates = g * coincidence_rate(cfg.scale.detected_rate(cfg.detector), cfg.sample,
-                                     np.radians([0.0, 45.0, 90.0]), math.radians(45.0), cfg.detector.visibility)
+                                     np.radians(_THREE_ANGLE_THETA1_DEG), math.radians(_THREE_ANGLE_THETA2_DEG),
+                                     cfg.detector.visibility)
     try:
         quantum = three_angle_invert(*rates.tolist())
     except FitError as exc:  # the report carries psi alone, which needs no covariance

@@ -36,7 +36,9 @@ from .experiment import DetectorModel, analyzer_terms, mean_counts, record_colum
 
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
 ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angle setting
-_THREE_ANGLE_TERMS = np.array(analyzer_terms(np.radians([0.0, 45.0, 90.0]), np.pi / 4))
+_THREE_ANGLE_THETA1_DEG = (0.0, 45.0, 90.0)  # the three-angle settings: these signal angles,
+_THREE_ANGLE_THETA2_DEG = 45.0  # each with the idler analyzer at this angle
+_THREE_ANGLE_TERMS = analyzer_terms(np.radians(_THREE_ANGLE_THETA1_DEG), math.radians(_THREE_ANGLE_THETA2_DEG))
 _UNIT_DETECTOR = DetectorModel()  # three_angle_invert's rates: no accidentals, visibility 1
 _MAX_ITERATIONS = 500  # trial Newton steps before the fit gives up
 _DECREMENT_TOL = 1e-6  # Newton decrement at an accepted optimum: within 1e-3 sigma of it
@@ -152,10 +154,11 @@ def three_angle_from_counts(records, det: DetectorModel) -> EllipsometricEstimat
     and FitError, carrying the estimate, where its covariance is not finite.
     """
     t1, t2, dur, k = record_columns(records)
-    at_45 = np.abs(np.degrees(t2) - 45.0) <= ANGLE_TOL_DEG
+    t1_deg = np.degrees(t1)
+    at_theta2 = np.abs(np.degrees(t2) - _THREE_ANGLE_THETA2_DEG) <= ANGLE_TOL_DEG
     k3, dur3 = np.zeros(3), np.zeros(3)
-    for i, target in enumerate((0.0, 45.0, 90.0)):
-        rows = at_45 & (np.abs(np.degrees(t1) - target) <= ANGLE_TOL_DEG)
+    for i, target in enumerate(_THREE_ANGLE_THETA1_DEG):
+        rows = at_theta2 & (np.abs(t1_deg - target) <= ANGLE_TOL_DEG)
         if not rows.any():
             raise LookupError(
                 "three-angle method needs rows at theta1 = 0/45/90 deg with theta2 = 45 deg; "
@@ -184,9 +187,8 @@ def fit_negative_log_likelihood(u, records, det: DetectorModel):
     the counts, and a change of 1e-6 in it is not lost to rounding.
     """
     t1, t2, dur, k = record_columns(records)
-    terms = np.array(analyzer_terms(t1, t2))
     with np.errstate(all="ignore"):
-        nll, grad, _ = _nll_derivatives(np.asarray(u, dtype=float), terms, dur, k, det)
+        nll, grad, _ = _nll_derivatives(np.asarray(u, dtype=float), analyzer_terms(t1, t2), dur, k, det)
     return nll, grad
 
 
@@ -340,7 +342,7 @@ def least_squares_fit(
     linear seed, unidentifiable plans and at visibility 0.
     """
     t1, t2, dur, k = record_columns(records)
-    return _fit(np.array(analyzer_terms(t1, t2)), dur, k, det, init)
+    return _fit(analyzer_terms(t1, t2), dur, k, det, init)
 
 
 def _fit(terms, dur, k, det: DetectorModel, init=None) -> EllipsometricEstimate:

@@ -11,8 +11,9 @@ count in `mean_counts` only and the settings rule in `_settings_columns`;
 the simulator, the estimators and the CLI report all evaluate them there.
 `CountRecord.__post_init__` keeps a scalar copy of the settings rule,
 because records are built one at a time (each `CountTable.__getitem__`
-builds one): the copy checks a record in about 1 µs, the array rule in
-about 15–17 µs (2-vCPU Xeon, Python 3.11).
+builds one, and the CLI's line reader checks each row it reads as one):
+the copy checks a record in about 1 µs, the array rule in about 15–17 µs
+(2-vCPU Xeon, Python 3.11).
 """
 
 import math
@@ -209,11 +210,12 @@ def record_columns(records):
 
 
 def analyzer_terms(theta1, theta2):
-    """Analyzer factors of the rate, elementwise over arrays:
-    cos^2(t1) sin^2(t2), sin^2(t1) cos^2(t2) and cos(t1) sin(t1) cos(t2) sin(t2)."""
+    """Analyzer factors of the rate, elementwise over arrays, stacked as the
+    (3, ...) array of cos^2(t1) sin^2(t2), sin^2(t1) cos^2(t2) and
+    cos(t1) sin(t1) cos(t2) sin(t2)."""
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
-    return c1 * c1 * s2 * s2, s1 * s1 * c2 * c2, c1 * s1 * c2 * s2
+    return np.array((c1 * c1 * s2 * s2, s1 * s1 * c2 * c2, c1 * s1 * c2 * s2))
 
 
 def rate_shape(terms, beta, delta, visibility):

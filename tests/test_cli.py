@@ -57,6 +57,14 @@ def run(args):
     return main(args)
 
 
+def package_env():
+    """os.environ with the directory of the imported qellip first on
+    PYTHONPATH, so that a subprocess runs the same package: src/ or the
+    installed one."""
+    src = str(Path(qellip.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def record_answers(monkeypatch, writer):
     """The list that each later call of the digit-table writer
     _ascii.<writer> (residual_block or csv_text) appends its answer to: the
@@ -678,13 +686,24 @@ class TestEstimate:
             "rc = qellip.cli.main(['estimate', sys.argv[1], '--method', 'fit', '--out', sys.argv[2]]); "
             "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
-        src = str(Path(qellip.cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         csv, out = str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), str(tmp_path / "report.json")
-        proc = subprocess.run([sys.executable, "-c", code, csv, out], env=env,
+        proc = subprocess.run([sys.executable, "-c", code, csv, out], env=package_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "[]"]
+
+    def test_module_entry_point_exits_with_mains_code(self, tmp_path):
+        # `python -m qellip.cli`, as the README documents it
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(COUNTS_HEADER + "\n")
+        out = tmp_path / "report.json"
+        for args, code in (([str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), "--out", str(out)], 0),
+                           ([str(header_only)], 3)):
+            proc = subprocess.run([sys.executable, "-m", "qellip.cli", "estimate", *args], cwd=tmp_path,
+                                  env=package_env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == code, proc.stderr
+        assert proc.stderr == "data error: no data rows\n"
+        assert out.read_bytes() == (GOLDEN_DIR / "mirror_sweep_seed7_fit.json").read_bytes()
 
     def test_non_finite_hessian_exits_4_with_best_iterate(self, tmp_path, monkeypatch):
         real, calls, reports = qellip.estimate._nll_derivatives, [], []
@@ -1289,20 +1308,6 @@ class TestCountsReaders:
 
     def test_golden_csv_is_read_in_c(self):
         assert assert_readers_agree((GOLDEN_DIR / "mirror_sweep_seed7.csv").read_text()) is not None
-
-    @pytest.mark.parametrize("body", ["0,45,1,100\n \t \n30,45,1,130\n", GOOD_ROWS + "  \n",
-                                      " \n\n" + GOOD_ROWS.replace("\n", "\r\n\t\r\n")])
-    def test_whitespace_only_lines_are_read_in_c(self, monkeypatch, body):
-        # the C reader refuses them, and is tried again without them
-        text = COUNTS_HEADER + "\n" + body
-        table = qellip.cli._read_lines(text.splitlines())
-        assert qellip.cli._read_in_c(text, text.splitlines()) is None
-
-        def refused(lines):
-            raise AssertionError("read by the line reader")
-
-        monkeypatch.setattr(qellip.cli, "_read_lines", refused)
-        assert_same_bits(qellip.cli.parse_counts_csv(text), table)
 
     def test_whitespace_only_lines_keep_the_line_readers_messages(self):
         text = COUNTS_HEADER + "\n0,45,1,100\n  \n30,45,0,130\n \n45,45,1,x\n"

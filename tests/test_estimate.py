@@ -413,7 +413,7 @@ class TestLeastSquaresFit:
                 return exc.estimate, str(exc)
 
         wrapped, wrapped_error = outcome(least_squares_fit, table, DET)
-        core, core_error = outcome(_fit, np.array(analyzer_terms(t1, t2)), dur, k, DET)
+        core, core_error = outcome(_fit, analyzer_terms(t1, t2), dur, k, DET)
         assert wrapped_error == core_error and (core_error is None) == (max_iterations is None)
         for field in dataclasses.fields(EllipsometricEstimate):
             a, b = getattr(wrapped, field.name), getattr(core, field.name)
@@ -531,7 +531,7 @@ class TestLeastSquaresFit:
         det = DetectorModel(accidental_rate=5.0, visibility=0.97)
         recs = simulate_counts(plan, ExperimentScale(1e4), det, truth, seed=4)
         t1, t2, dur, k = record_columns(recs)
-        terms = np.array(analyzer_terms(t1, t2))
+        terms = analyzer_terms(t1, t2)
         rng = np.random.default_rng(17)
         for _ in range(100):
             u = np.array(
@@ -630,7 +630,7 @@ class TestNllDerivatives:
             scale = ExperimentScale(10 ** rng.uniform(1.0, 6.0))
             recs = simulate_counts(plan, scale, det, truth, seed=int(rng.integers(2**32)))
             t1, t2, dur, k = record_columns(recs)
-            terms = np.array(analyzer_terms(t1, t2))
+            terms = analyzer_terms(t1, t2)
             u = np.array([math.log(scale.pair_rate) + rng.normal(), math.log(truth.beta) + rng.normal(),
                           rng.uniform(-1.0, 4.0)])
             with np.errstate(all="ignore"):

@@ -431,6 +431,8 @@ class TestCountTable:
         assert self.table() == self.table()
         other = CountTable(*zip(*(self.ROWS[:2] + ((0.5, 0.6, 0.5, 8),))))
         assert self.table() != other
+        # not a table: CountTable leaves the comparison to the other operand
+        assert self.table() != list(self.table()) and self.table() != "counts"
 
     def test_columns_are_read_only(self):
         table = self.table()
