@@ -1,5 +1,7 @@
 """The counts CSV and the report residuals written over arrays, equal byte for
-byte to the % formatting in qellip.cli, or None where that is not proven.
+byte to their definitions in qellip.cli, or None where that is not proven:
+per-row % formatting for the CSV (cli._csv_text), and for the residual list
+the report's json.dumps(_round9(report), indent=2) (cli._write_json).
 
 A row is built as a fixed number of uint32 words of ASCII, four bytes each.
 Digits come three to a word from one table of the triples 000 to 999, in
@@ -18,12 +20,14 @@ For %.9g the same rint also decides whether the rounding carries into the
 next power of ten, so that y must not be a midpoint either.
 
 Domain, outside which None is returned (and cli writes the text by its
-definition):
-- "%.6f": finite float64 with |x|·10^6 < 2**52;
-- "%d": every non-negative int64;
-- %.9g residuals: float64 that are 0 or have 1e-14 <= |r| < 1e8, written
-  as cli._residual_block writes them.  The double nearest 1e-14 lies below
-  10^-14 and is outside.
+definition), with no value on a rounding midpoint:
+- "%.6f": a float64 column, finite with |x|·10^6 < 2**52;
+- "%d": an int64 column, non-negative;
+- any format: a column whose values are all equal bitwise, written once by
+  its % format and repeated in every row;
+- %.9g residuals: a non-empty float64 array of values that are 0 or have
+  1e-14 <= |r| < 1e8.  The double nearest 1e-14 lies below 10^-14 and is
+  outside.
 The range is checked before anything is scaled, so nothing overflows.
 """
 
@@ -160,18 +164,14 @@ def _text(words, n: int) -> str:
 
 
 def csv_text(header: str, formats, columns):
-    """cli._csv_text(header, formats, columns), or None outside the domain.
-
-    A column whose values are all equal bitwise is written once by its %
-    format, as cli._csv_text bakes it into the row format.
-    """
+    """cli._csv_text(header, formats, columns), or None outside the domain."""
     n = len(columns[0])
     if not n:
         return header + "\n"
     words = []
     for j, (fmt, column) in enumerate(zip(formats, columns)):
         end = "\n" if j == len(formats) - 1 else ","
-        bits = column.view(np.uint64)  # float64 and int64 columns
+        bits = column.view(f"u{column.itemsize}")  # each value's bits, whatever its width
         if (bits == bits[0]).all():
             words.append(_words((fmt % column[0].item()) + end))
             continue
@@ -184,8 +184,9 @@ def csv_text(header: str, formats, columns):
 
 
 def residual_block(r):
-    """cli._residual_block(r) for a float64 array r, or None outside the
-    domain (an empty r included): r = 0 or 10^-14 <= |r| < 1e8 for each value.
+    """The residual list r (float64) as the report's json.dumps(_round9(report),
+    indent=2) writes it, as the value of a top-level key, or None outside the
+    domain (see the module docstring).
 
     Each value is its nine significant digits q = rint(|r|·10^(8 - e)), where
     e is the decimal exponent of |r|, so that 10**8 <= q <= 10**9, and a zero

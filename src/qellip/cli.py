@@ -32,6 +32,7 @@ from .experiment import (
     CountTable,
     DetectorModel,
     ExperimentScale,
+    _is_seed,
     analyzer_terms,
     coincidence_rate,
     count_table,
@@ -107,7 +108,7 @@ def _num(d: dict, key: str, context: str, default=None) -> float:
 
 
 def _seed(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not (0 <= value < 2**64):
+    if not _is_seed(value):
         raise ConfigError(f"{context}: must be an unsigned 64-bit integer")
     return value
 
@@ -240,36 +241,24 @@ def _round9(obj):
     return obj
 
 
-def _residual_block(xs) -> str:
-    """json.dumps(_round9(xs), indent=2) for a non-empty sequence of floats,
-    as the value of a top-level key.
-
-    _ascii.residual_block writes it from digit tables where every value
-    is 0 or has 1e-14 <= |x| < 1e8 and none falls on a rounding midpoint
-    (see there).  Otherwise that definition writes it, indented two more spaces.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    text = _ascii.residual_block(xs)
-    if text is not None:
-        return text
-    return json.dumps(_round9(xs.tolist()), indent=2).replace("\n", "\n  ")
-
-
 def _write_json(report: dict, out_path):
     """Write json.dumps(_round9(report), indent=2, allow_nan=False) and a
     newline.
 
-    A report's "residuals" (a list or float64 array) is formatted by
-    _residual_block and spliced in where json wrote an empty list.  The
-    splice point cannot occur inside a string, where json escapes quotes.
+    A report's "residuals" (floats: an array or a list) are written by
+    _ascii.residual_block where they lie in its domain (see there), spliced
+    in where json wrote an empty list; the splice point cannot occur inside
+    a string, where json escapes quotes.  Otherwise the definition writes
+    the whole report.
     """
     residuals = report.get("residuals")
-    if residuals is None or not len(residuals):
-        _write_text(json.dumps(_round9(report), indent=2, allow_nan=False) + "\n", out_path)
-        return
-    text = json.dumps(_round9({**report, "residuals": []}), indent=2, allow_nan=False)
-    head, key, tail = text.partition('\n  "residuals": ')
-    _write_text(head + key + _residual_block(residuals) + tail[len("[]"):] + "\n", out_path)
+    block = None if residuals is None else _ascii.residual_block(np.asarray(residuals, dtype=np.float64))
+    text = json.dumps(_round9(report if block is None else {**report, "residuals": []}), indent=2,
+                      allow_nan=False)
+    if block is not None:
+        head, key, tail = text.partition('\n  "residuals": ')
+        text = head + key + block + tail[len("[]"):]
+    _write_text(text + "\n", out_path)
 
 
 def _csv_text(header: str, formats, columns) -> str:
@@ -277,10 +266,8 @@ def _csv_text(header: str, formats, columns) -> str:
     arrays, each field written by its % format and the fields joined by
     commas.
 
-    _ascii.csv_text writes it from digit tables where every format is %.6f
-    or %d, each %.6f value is finite with |x|·1e6 < 2**52 and none falls
-    on a rounding midpoint, and each count is non-negative (see there).
-    Otherwise that definition writes it, row by row.
+    _ascii.csv_text writes it where the columns lie in its domain (see
+    there); otherwise this definition writes it, row by row.
     """
     text = _ascii.csv_text(header, formats, columns)
     if text is not None:

@@ -169,7 +169,9 @@ def three_angle_from_counts(records, det: DetectorModel) -> EllipsometricEstimat
 
 
 def subtract_accidentals(records, det: DetectorModel) -> list:
-    """Convert counts to accidental-subtracted rates, floored at zero."""
+    """Convert counts to accidental-subtracted rates k/t - A, floored at zero.
+    They carry no visibility: three_angle_invert on them reads Delta at V = 1,
+    whatever det.visibility is; three_angle_from_counts(records, det) applies V."""
     out = []
     for rec in records:
         rate = max(rec.counts / rec.duration - det.accidental_rate, 0.0)

@@ -106,6 +106,11 @@ class AcquisitionPlan:
         return len(self.theta1)
 
 
+def _is_seed(value) -> bool:
+    """The seed rule simulate_counts and the CLI share: an integer, Python or numpy, not a bool, in [0, 2**64)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= int(value) < 2**64
+
+
 def _checked_counts(counts) -> np.ndarray:
     """Counts as int64, by the rule CountRecord and CountTable share: each a
     non-negative integer below 2**63, and not a bool (np.array makes it 1)."""
@@ -298,7 +303,7 @@ def simulate_counts(
     `_draws`).  The means must be finite and at most numpy's Poisson limit
     (about 9.2e18).
     """
-    if not (0 <= int(seed) < 2**64):
+    if not _is_seed(seed):
         raise ValueError("seed must be an unsigned 64-bit integer")
     with np.errstate(over="ignore"):  # an overflowing mean is rejected below
         means = expected_counts(plan, scale, det, params)

@@ -1,7 +1,9 @@
-"""qellip._ascii against the % formatting it stands in for: cli._csv_text
-and cli._residual_block with the kernel switched off are the definition,
-and the kernel must equal them byte for byte wherever it answers."""
+"""qellip._ascii against the definitions it stands in for: cli._csv_text
+with the kernel switched off, and the report's json.dumps(_round9(report),
+indent=2) for the residual list.  The kernel must equal them byte for byte
+wherever it answers; where it answers is stated in _ascii's docstrings."""
 
+import json
 import math
 import warnings
 from decimal import Decimal
@@ -25,8 +27,9 @@ def by_percent_csv(formats, columns):
 
 
 def by_percent_residuals(r):
-    with mock.patch.object(_ascii, "residual_block", return_value=None):
-        return qellip.cli._residual_block(r)
+    """The residual list as the report definition writes it."""
+    text = json.dumps(qellip.cli._round9({"residuals": r}), indent=2, allow_nan=False)
+    return text[len('{\n  "residuals": '):-len("\n}")]
 
 
 def kernel_csv(formats, columns):
@@ -102,6 +105,13 @@ class TestCsvCorpus:
         columns = (np.array([1.0, 2.0]), np.array([0, 1]))
         assert _ascii.csv_text("h", ("%.3f", "%d"), columns) is None
         assert _ascii.csv_text("h", ("%.6f", "%5d"), columns) is None
+
+    @pytest.mark.parametrize("n", [2, 3])  # the constant-column check compares each value, not pairs of them
+    def test_float32_column_returns_none_and_is_written_by_percent(self, n):
+        columns = (np.array([1.5, 0.1, 2.0][:n], dtype=np.float32), np.arange(n))
+        assert _ascii.csv_text("h", FIXED_COUNTS, columns) is None
+        rows = ["1.500000,0\n", "0.100000,1\n", "2.000000,2\n"][:n]
+        assert qellip.cli._csv_text("h", FIXED_COUNTS, columns) == "h\n" + "".join(rows)
 
     def test_empty_table_is_the_header(self):
         empty = (np.array([]), np.array([], dtype=np.int64))

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import qellip.cli
 import qellip.estimate
-from qellip import CountTable, __version__
+from qellip import AcquisitionPlan, CountTable, DetectorModel, ExperimentScale, SampleParams, __version__
 from qellip.cli import COUNTS_HEADER, FRINGE_HEADER, _round9, _write_json, counts_csv, load_config, main
 from qellip.experiment import analyzer_terms, rate_shape
 
@@ -114,6 +114,17 @@ class TestSimulate:
         cfg = write_config(tmp_path, MIRROR_CONFIG)
         assert run(["simulate", "--config", cfg, "--seed", seed]) == 2
         assert "--seed: must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, -1, 2**64, 1.5, 1.0, True, "1", None])
+    def test_config_seed_is_accepted_exactly_where_simulate_counts_accepts_it(self, tmp_path, seed):
+        try:
+            qellip.simulate_counts(AcquisitionPlan(((0.0, 0.0, 1.0),)), ExperimentScale(1.0), DetectorModel(),
+                                   SampleParams.mirror(), seed)
+            code = 0
+        except ValueError:
+            code = 2
+        cfg = write_config(tmp_path, dict(MIRROR_CONFIG, seed=seed))
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "counts.csv")]) == code
 
     def test_analyzer_null_gives_zero_counts(self, tmp_path):
         # mirror rate ~ sin^2(t1 + t2) is exactly 0 at 165 + 15 deg; the
@@ -1028,8 +1039,8 @@ class TestBoundaryErrors:
 
 
 def reference_json(report):
-    # The report contract written out: json's pure-Python indent encoder over
-    # _round9, as every report was written before the one-pass writer.
+    # The report contract written out: json's indent encoder over _round9,
+    # which _write_json also writes wherever the digit tables decline.
     return json.dumps(_round9(report), indent=2, allow_nan=False) + "\n"
 
 

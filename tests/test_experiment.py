@@ -294,6 +294,19 @@ class TestSimulateCounts:
                               DetectorModel(), MIRROR, seed=2**63 + 5)
         np.testing.assert_array_equal(got.counts, state_reset_draws(2**63 + 5, means))
 
+    @pytest.mark.parametrize("seed", [1.5, True, np.float64(1.9), "1", -1, 2**64, np.int64(-1)])
+    def test_seed_that_is_not_an_unsigned_64_bit_integer_is_rejected(self, seed):
+        # the CLI's seed rule: an integer, Python or numpy, not a bool, in [0, 2**64)
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            simulate_counts(mirror_plan(np.ones(3), np.zeros(3, bool)), ExperimentScale(1.0), DetectorModel(), MIRROR,
+                            seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_draws_as_its_python_int(self, seed):
+        plan = mirror_plan(np.geomspace(0.5, 1e6, 40), np.zeros(40, bool))  # numpy's draws and the array path
+        got = simulate_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR, seed)
+        assert got == simulate_counts(plan, ExperimentScale(1.0), DetectorModel(), MIRROR, int(seed))
+
     @pytest.mark.parametrize("pair_rate, dwell", [(1e300, 1e10), (1e19, 1.0)], ids=["overflow", "above-limit"])
     def test_mean_beyond_numpy_poisson_limit_is_rejected(self, pair_rate, dwell):
         # 1e300 * 1e10 overflows to inf; 1e19 is finite but above numpy's limit
