@@ -18,14 +18,7 @@ import numpy as np
 
 from . import __version__, _ascii
 from .classical import ClassicalInstrument, classical_psi_estimate
-from .estimate import (
-    _THREE_ANGLE_THETA1_DEG,
-    _THREE_ANGLE_THETA2_DEG,
-    FitError,
-    _fit,
-    three_angle_from_counts,
-    three_angle_invert,
-)
+from .estimate import THREE_ANGLE_THETA1_DEG, THREE_ANGLE_THETA2_DEG, FitError, _estimate_table, three_angle_invert
 from .experiment import (
     AcquisitionPlan,
     CountRecord,
@@ -33,11 +26,8 @@ from .experiment import (
     DetectorModel,
     ExperimentScale,
     _is_seed,
-    analyzer_terms,
     coincidence_rate,
     count_table,
-    mean_counts,
-    record_columns,
     simulate_counts,
 )
 from .samples import (
@@ -367,11 +357,10 @@ def _ground_truth(args):
     return {"psi_deg": psi, "delta_deg": delta}
 
 
-def _estimate_report(estimate, terms, dur, k, det: DetectorModel, ground_truth) -> dict:
+def _estimate_report(estimate, residuals, det: DetectorModel, ground_truth) -> dict:
     to_deg = np.array([1.0, 180.0 / math.pi, 180.0 / math.pi])  # elementwise: no inf * 0 where var C overflows
     with np.errstate(over="ignore"):  # cmd_estimate reports a covariance that overflows in degrees
         cov_deg = estimate.covariance * to_deg[:, None] * to_deg
-    residuals = k - mean_counts(terms, dur, estimate.C_hat, estimate.beta_hat, estimate.delta_mag_hat, det)
     return {
         "version": __version__,
         "method": estimate.method,
@@ -409,20 +398,11 @@ def cmd_estimate(args) -> int:
     # strictly increasing theta1, as simulate writes, is that order already.
     if not (np.diff(records.theta1) > 0).all():
         records = records[np.lexsort((records.counts, records.duration, records.theta2, records.theta1))]
-
-    # Built once: the fit and the report residuals of either method share these arrays.
-    t1, t2, dur, k = record_columns(records)
-    terms = analyzer_terms(t1, t2)
     try:
-        if args.method == "three-angle":
-            estimate, failures = three_angle_from_counts(records, det), []
-        else:
-            estimate, failures = _fit(terms, dur, k, det), []
+        estimate, residuals, failures = _estimate_table(records, det, args.method)
     except LookupError as exc:
         raise DataError(str(exc)) from exc
-    except FitError as exc:
-        estimate, failures = exc.estimate, [str(exc)]
-    report = _estimate_report(estimate, terms, dur, k, det, ground_truth)
+    report = _estimate_report(estimate, residuals, det, ground_truth)
     # The estimators raise on a non-finite covariance, but the scaling to degrees can overflow a finite one.
     if not (failures or np.isfinite(report["cov"]).all()):
         failures = ["covariance is not finite"]
@@ -437,7 +417,7 @@ def cmd_baseline(args) -> int:
     g = cfg.instrument.gain_drift
     with np.errstate(over="ignore"):  # three_angle_invert reports an overflowing rate
         rates = g * coincidence_rate(cfg.scale.detected_rate(cfg.detector), cfg.sample,
-                                     np.radians(_THREE_ANGLE_THETA1_DEG), math.radians(_THREE_ANGLE_THETA2_DEG),
+                                     np.radians(THREE_ANGLE_THETA1_DEG), math.radians(THREE_ANGLE_THETA2_DEG),
                                      cfg.detector.visibility)
     try:
         quantum = three_angle_invert(*rates.tolist())

@@ -21,7 +21,8 @@ maximum-likelihood point of those counts.
 Both fail the same way.  ValueError: the counts admit no estimate (a null,
 visibility 0, an unidentifiable plan, non-finite rates, no counts).
 FitError: an estimate exists but is not trusted, and the error carries it;
-both estimators raise it where the covariance is not finite.
+both estimators raise it where the covariance is not finite.  The CLI takes
+either estimate, its residuals and its failure from one entry, _estimate_table.
 
 Only |delta| is identifiable: the rate depends on delta through cos(delta)
 alone, so estimates report delta_mag_hat in [0, pi].
@@ -36,9 +37,9 @@ from .experiment import DetectorModel, analyzer_terms, mean_counts, record_colum
 
 _COS_OVERSHOOT = 0.05  # tolerated |cos delta| excess before flagging
 ANGLE_TOL_DEG = 1e-6  # how far a row's analyzer angle may sit from a three-angle setting
-_THREE_ANGLE_THETA1_DEG = (0.0, 45.0, 90.0)  # the three-angle settings: these signal angles,
-_THREE_ANGLE_THETA2_DEG = 45.0  # each with the idler analyzer at this angle
-_THREE_ANGLE_TERMS = analyzer_terms(np.radians(_THREE_ANGLE_THETA1_DEG), math.radians(_THREE_ANGLE_THETA2_DEG))
+THREE_ANGLE_THETA1_DEG = (0.0, 45.0, 90.0)  # the three-angle settings: these signal angles,
+THREE_ANGLE_THETA2_DEG = 45.0  # each with the idler analyzer at this angle
+_THREE_ANGLE_TERMS = analyzer_terms(np.radians(THREE_ANGLE_THETA1_DEG), math.radians(THREE_ANGLE_THETA2_DEG))
 _UNIT_DETECTOR = DetectorModel()  # three_angle_invert's rates: no accidentals, visibility 1
 _MAX_ITERATIONS = 500  # trial Newton steps before the fit gives up
 _DECREMENT_TOL = 1e-6  # Newton decrement at an accepted optimum: within 1e-3 sigma of it
@@ -153,11 +154,15 @@ def three_angle_from_counts(records, det: DetectorModel) -> EllipsometricEstimat
     has no rows, ValueError at an eigenpolarization null or visibility 0,
     and FitError, carrying the estimate, where its covariance is not finite.
     """
-    t1, t2, dur, k = record_columns(records)
+    return _three_angle(*_three_angle_sums(*record_columns(records)), det)
+
+
+def _three_angle_sums(t1, t2, dur, k):
+    """Counts and dwell summed at each three-angle setting, from record columns."""
     t1_deg = np.degrees(t1)
-    at_theta2 = np.abs(np.degrees(t2) - _THREE_ANGLE_THETA2_DEG) <= ANGLE_TOL_DEG
+    at_theta2 = np.abs(np.degrees(t2) - THREE_ANGLE_THETA2_DEG) <= ANGLE_TOL_DEG
     k3, dur3 = np.zeros(3), np.zeros(3)
-    for i, target in enumerate(_THREE_ANGLE_THETA1_DEG):
+    for i, target in enumerate(THREE_ANGLE_THETA1_DEG):
         rows = at_theta2 & (np.abs(t1_deg - target) <= ANGLE_TOL_DEG)
         if not rows.any():
             raise LookupError(
@@ -165,7 +170,7 @@ def three_angle_from_counts(records, det: DetectorModel) -> EllipsometricEstimat
                 f"missing theta1 = {target:g} deg"
             )
         k3[i], dur3[i] = k[rows].sum(), dur[rows].sum()
-    return _three_angle(k3, dur3, det)
+    return k3, dur3
 
 
 def subtract_accidentals(records, det: DetectorModel) -> list:
@@ -373,3 +378,23 @@ def _fit(terms, dur, k, det: DetectorModel, init=None) -> EllipsometricEstimate:
         msg = f"psi ran to {np.degrees(psi):.6g} deg: one polarization adds under one expected count"
         raise FitError(msg, estimate=estimate)
     return _trusted(estimate)
+
+
+def _estimate_table(records, det: DetectorModel, method: str):
+    """(estimate, residuals, failures) of `method`, "fit" (least_squares_fit)
+    or "three-angle" (three_angle_from_counts), from one build of the record
+    columns and analyzer terms.  residuals = k - mean_counts at the estimate.
+    A FitError gives its estimate and failures = [its message], else
+    failures = []; LookupError and ValueError propagate as from the two."""
+    t1, t2, dur, k = record_columns(records)
+    terms = analyzer_terms(t1, t2)
+    try:
+        if method == "three-angle":
+            estimate = _three_angle(*_three_angle_sums(t1, t2, dur, k), det)
+        else:
+            estimate = _fit(terms, dur, k, det)
+        failures = []
+    except FitError as exc:
+        estimate, failures = exc.estimate, [str(exc)]
+    residuals = k - mean_counts(terms, dur, estimate.C_hat, estimate.beta_hat, estimate.delta_mag_hat, det)
+    return estimate, residuals, failures

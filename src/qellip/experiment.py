@@ -8,7 +8,8 @@ counts over arrays, equal to numpy's draw from a new Philox per record.
 
 The rate formula lives in `analyzer_terms` and `rate_shape` only, the mean
 count in `mean_counts` only and the settings rule in `_settings_columns`;
-the simulator, the estimators and the CLI report all evaluate them there.
+the simulator and the estimators evaluate them there, and so does
+`estimate.py` for the CLI report's residuals.
 `CountRecord.__post_init__` keeps a scalar copy of the settings rule,
 because records are built one at a time (each `CountTable.__getitem__`
 builds one, and the CLI's line reader checks each row it reads as one):

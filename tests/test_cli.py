@@ -19,7 +19,7 @@ import qellip.cli
 import qellip.estimate
 from qellip import AcquisitionPlan, CountTable, DetectorModel, ExperimentScale, SampleParams, __version__
 from qellip.cli import COUNTS_HEADER, FRINGE_HEADER, _round9, _write_json, counts_csv, load_config, main
-from qellip.experiment import analyzer_terms, rate_shape
+from qellip.experiment import analyzer_terms, rate_shape, record_columns
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -562,10 +562,11 @@ class TestEstimate:
         assert report["cov"][0][0] is None
         assert report["cov"][1][1] > 0 and report["cov"][2][2] > 0
 
-    def test_covariance_that_overflows_in_degrees_exits_4(self, tmp_path, capsys, monkeypatch):
-        # var psi = 1e305 rad^2 is finite, so the fit trusts it; times
+    @pytest.mark.parametrize("method, estimator", [("fit", "_fit"), ("three-angle", "_three_angle")])
+    def test_covariance_that_overflows_in_degrees_exits_4(self, tmp_path, capsys, monkeypatch, method, estimator):
+        # var psi = 1e305 rad^2 is finite, so the estimator trusts it; times
         # (180/pi)^2 it overflows, and only the report's check can say so
-        real = qellip.cli._fit
+        real = getattr(qellip.estimate, estimator)
 
         def wide(*args):
             estimate = real(*args)
@@ -573,9 +574,10 @@ class TestEstimate:
             cov[1, 1] = 1e305
             return dataclasses.replace(estimate, covariance=cov)
 
-        monkeypatch.setattr(qellip.cli, "_fit", wide)
+        monkeypatch.setattr(qellip.estimate, estimator, wide)
         out = tmp_path / "report.json"
-        assert run(["estimate", str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), "--out", str(out)]) == 4
+        csv = str(GOLDEN_DIR / "mirror_sweep_seed7.csv")
+        assert run(["estimate", csv, "--method", method, "--out", str(out)]) == 4
         assert capsys.readouterr().err == ""
         report = json.loads(out.read_text())
         assert report["warnings"] == ["covariance is not finite"]
@@ -678,17 +680,21 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["fit", "three-angle"])
     def test_estimate_builds_the_analyzer_terms_once(self, tmp_path, monkeypatch, method):
         # The estimator and the report residuals share one pass over the 13 rows.
-        calls = []
+        calls = {"record_columns": [], "analyzer_terms": []}
 
-        def counted(theta1, theta2):
-            calls.append(len(theta1))
+        def counted_columns(records):
+            calls["record_columns"].append(len(records))
+            return record_columns(records)
+
+        def counted_terms(theta1, theta2):
+            calls["analyzer_terms"].append(len(theta1))
             return analyzer_terms(theta1, theta2)
 
-        for module in (qellip.cli, qellip.estimate):
-            monkeypatch.setattr(module, "analyzer_terms", counted)
+        monkeypatch.setattr(qellip.estimate, "record_columns", counted_columns)
+        monkeypatch.setattr(qellip.estimate, "analyzer_terms", counted_terms)
         csv, out = str(GOLDEN_DIR / "mirror_sweep_seed7.csv"), tmp_path / "report.json"
         assert run(["estimate", csv, "--method", method, "--out", str(out)]) == 0
-        assert calls == [13]
+        assert calls == {"record_columns": [13], "analyzer_terms": [13]}
 
     def test_fit_never_loads_scipy(self, tmp_path):
         # In a fresh interpreter: anything else in this process may have imported scipy.

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from qellip import (
     AcquisitionPlan,
     CountRecord,
+    CountTable,
     DetectorModel,
     EllipsometricEstimate,
     ExperimentScale,
@@ -27,8 +28,8 @@ from qellip import (
 )
 import qellip.estimate
 from qellip.cli import parse_counts_csv
-from qellip.estimate import _at_optimum, _fit, _nll_derivatives, fit_negative_log_likelihood
-from qellip.experiment import analyzer_terms, record_columns
+from qellip.estimate import _at_optimum, _estimate_table, _nll_derivatives, fit_negative_log_likelihood
+from qellip.experiment import analyzer_terms, mean_counts, record_columns
 
 GOLDEN_CSV = Path(__file__).parent / "golden" / "mirror_sweep_seed7.csv"
 
@@ -399,25 +400,27 @@ class TestLeastSquaresFit:
             least_squares_fit(recs, DET, init=far)
         assert excinfo.value.estimate is not None
 
-    @pytest.mark.parametrize("max_iterations", [None, 1], ids=["converged", "fit-error"])
-    def test_wrapper_adds_nothing_to_the_array_core(self, monkeypatch, max_iterations):
+    @pytest.mark.parametrize("method, estimator", [("fit", least_squares_fit),
+                                                   ("three-angle", three_angle_from_counts)])
+    @pytest.mark.parametrize("dwell", [None, 1e-160], ids=["converged", "fit-error"])
+    def test_wrapper_adds_nothing_to_the_array_core(self, method, estimator, dwell):
+        # The CLI's entry gives the public estimator's outcome.  At a 1e-160 s
+        # dwell C is about 1e164, so var C overflows and both raise FitError.
         table = parse_counts_csv(GOLDEN_CSV.read_text())
-        t1, t2, dur, k = record_columns(table)
-        if max_iterations is not None:
-            monkeypatch.setattr(qellip.estimate, "_MAX_ITERATIONS", max_iterations)
-
-        def outcome(fit, *args):
-            try:
-                return fit(*args), None
-            except FitError as exc:
-                return exc.estimate, str(exc)
-
-        wrapped, wrapped_error = outcome(least_squares_fit, table, DET)
-        core, core_error = outcome(_fit, analyzer_terms(t1, t2), dur, k, DET)
-        assert wrapped_error == core_error and (core_error is None) == (max_iterations is None)
+        if dwell is not None:
+            table = CountTable(table.theta1, table.theta2, np.full(len(table), dwell), table.counts)
+        try:
+            public, failures = estimator(table, DET), []
+        except FitError as exc:
+            public, failures = exc.estimate, [str(exc)]
+        entry, residuals, entry_failures = _estimate_table(table, DET, method)
+        assert entry_failures == failures and (failures == []) == (dwell is None)
         for field in dataclasses.fields(EllipsometricEstimate):
-            a, b = getattr(wrapped, field.name), getattr(core, field.name)
+            a, b = getattr(entry, field.name), getattr(public, field.name)
             assert np.array_equal(a, b) if field.name == "covariance" else a == b
+        t1, t2, dur, k = record_columns(table)
+        mu = mean_counts(analyzer_terms(t1, t2), dur, public.C_hat, public.beta_hat, public.delta_mag_hat, DET)
+        assert np.array_equal(residuals, k - mu)
 
     @pytest.mark.parametrize("shift_sigma, converged", [(0.5, False), (1e-4, True)])
     def test_newton_decrement_decides_convergence(self, monkeypatch, shift_sigma, converged):
