@@ -164,19 +164,21 @@ def _parse_plan(d, context="plan") -> AcquisitionPlan:
     return _build(context, AcquisitionPlan, settings=settings)
 
 
-def _undecodable(exc: UnicodeDecodeError) -> str:
-    """The byte of a whole-file read that is not UTF-8, named with its offset in the file."""
-    return f"not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+def _read_text(path: str, error, what: str = "") -> str:
+    """The file's UTF-8 text.  Raises `error` naming the file, as `what` path where it
+    cannot be read, or its first byte that is not UTF-8 and that byte's offset."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from exc
 
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {_undecodable(exc)}") from exc
+        raw = json.loads(_read_text(path, ConfigError, "config "))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from exc
     except RecursionError as exc:
@@ -386,14 +388,7 @@ def cmd_estimate(args) -> int:
     det = _build("detector flags", DetectorModel, eta1=args.eta1, eta2=args.eta2,
                  accidental_rate=args.accidental_per_s, visibility=args.visibility)
     ground_truth = _ground_truth(args)
-    try:
-        with open(args.counts_csv, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {args.counts_csv}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{args.counts_csv}: {_undecodable(exc)}") from exc
-    records = parse_counts_csv(text)
+    records = parse_counts_csv(_read_text(args.counts_csv, DataError))
     # Canonical order makes the report independent of input row order.  A
     # strictly increasing theta1, as simulate writes, is that order already.
     if not (np.diff(records.theta1) > 0).all():
@@ -443,16 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qellip {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    configured = argparse.ArgumentParser(add_help=False)  # the options of the config-driven commands
+    configured.add_argument("--config", required=True)
+    configured.add_argument("--out", default=None)
 
-    p_sim = sub.add_parser("simulate", help="generate Poisson coincidence counts as CSV")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", default=None)
+    p_sim = sub.add_parser("simulate", parents=[configured], help="generate Poisson coincidence counts as CSV")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_fr = sub.add_parser("fringe", help="noiseless expected-rate curve as CSV")
-    p_fr.add_argument("--config", required=True)
-    p_fr.add_argument("--out", default=None)
+    p_fr = sub.add_parser("fringe", parents=[configured], help="noiseless expected-rate curve as CSV")
     p_fr.set_defaults(func=cmd_fringe)
 
     p_est = sub.add_parser("estimate", help="recover (C, psi, delta) from a counts CSV")
@@ -467,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_base = sub.add_parser("baseline", help="classical vs quantum psi under miscalibration")
-    p_base.add_argument("--config", required=True)
-    p_base.add_argument("--out", default=None)
+    p_base = sub.add_parser("baseline", parents=[configured], help="classical vs quantum psi under miscalibration")
     p_base.set_defaults(func=cmd_baseline)
     return parser
 

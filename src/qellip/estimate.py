@@ -13,10 +13,11 @@ Two estimators are provided:
     parameterized internally in (log C, log beta, delta) so positivity
     needs no constraint handling.
 
-Both report the inverse observed Fisher information over (C, psi, delta),
-from the exact Hessian of the Poisson negative log-likelihood: inside its
-domain the closed form reproduces the three counts exactly, so it is the
-maximum-likelihood point of those counts.
+Both report, from _at_optimum, the inverse observed Fisher information over
+(C, psi, delta) from the exact Hessian of the Poisson negative log-likelihood
+(inside its domain the closed form reproduces the three counts exactly, so it
+is their maximum-likelihood point), and var delta = (pi/2)^2, the widest
+spread on [0, pi], where delta carries no information.
 
 Both fail the same way.  ValueError: the counts admit no estimate (a null,
 visibility 0, an unidentifiable plan, non-finite rates, no counts).
@@ -94,11 +95,9 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
       tan(psi) = beta^2 = r_0 / r_90
       V cos(delta) = (2*r_45 - r_0 - r_90) / (2*sqrt(r_0*r_90))
 
-    Where |cos delta| < 1 the model then reproduces the three counts exactly,
-    so this is the Poisson maximum-likelihood point and its covariance is
-    the inverse observed information, as for least_squares_fit.  Raises
-    ValueError where a rate k/t - A, or C, is not finite, and FitError
-    where the covariance is not finite.
+    Its covariance is _at_optimum's, as for least_squares_fit (see the
+    module docstring).  Raises ValueError where a rate k/t - A, or C, is
+    not finite, and FitError where the covariance is not finite.
     """
     with np.errstate(all="ignore"):
         rates = k / dur - det.accidental_rate
@@ -119,12 +118,6 @@ def _three_angle(k, dur, det: DetectorModel) -> EllipsometricEstimate:
         u = np.array([np.log(c), 0.5 * np.log(x), delta])
         _, grad, hess = _nll_derivatives(u, _THREE_ANGLE_TERMS, dur, k, det)
         cov = _at_optimum(u, grad, hess)[0]
-        if cov[2, 2] * hess[2, 2] < 0.5:
-            # Were the delta direction kept, var * information would be >= 1. It
-            # falls under the eigenvalue cutoff where delta carries no information
-            # (|cos delta| = 1, or within rounding): report the widest spread on [0, pi].
-            # The NaN covariance of a non-finite Hessian fails the test and stays NaN.
-            cov[2, 2] = np.pi**2 / 4
     return _trusted(EllipsometricEstimate(C_hat=float(c), psi_hat=float(np.arctan(x)), delta_mag_hat=delta,
                                           covariance=cov, method="three_angle", warnings=warnings))
 
@@ -277,6 +270,8 @@ def _at_optimum(u, grad, hess):
     and J = d(C, psi, delta)/du = diag(C, sin 2psi, 1) (its gradient term is
     0 at an optimum): J H^+ J where H is PSD, with the negative directions of
     an indefinite H (a model that does not fit the counts) dropped before J.
+    var delta * H[2, 2] is >= 1 where the delta direction is kept; below 0.5
+    delta carries no information, and var delta is (pi/2)^2, the widest on [0, pi].
     The decrement is sum (v^T grad)^2 / |w| over |w| > _EIG_CUTOFF max|w|.
     A non-finite H gives a NaN covariance and an infinite decrement."""
     if not np.isfinite(hess).all():
@@ -286,8 +281,11 @@ def _at_optimum(u, grad, hess):
     jac = np.array([np.exp(u[0]), 1.0 / np.cosh(2.0 * u[1]), 1.0])
     kept = w > cutoff
     s = jac[:, None] * v[:, kept] / np.sqrt(w[kept])
+    cov = s @ s.T
+    if cov[2, 2] * hess[2, 2] < 0.5:
+        cov[2, 2] = np.pi**2 / 4
     nonzero = np.abs(w) > cutoff
-    return s @ s.T, ((v.T @ grad)[nonzero] ** 2 / np.abs(w[nonzero])).sum()
+    return cov, ((v.T @ grad)[nonzero] ** 2 / np.abs(w[nonzero])).sum()
 
 
 def _damped_newton(u, terms, dur, k, det: DetectorModel):

@@ -17,11 +17,13 @@ Conventions (see README for the interop notes):
 """
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
+_ADMITTANCE = {"s": operator.mul, "p": operator.truediv}  # tilted admittance of index n at cosine cos
 
 
 def wrap_phase(delta: float) -> float:
@@ -150,25 +152,21 @@ def film_stack_reflectance(stack: FilmStack) -> ReflectionPair:
     sin_inc = n_ambient * np.sin(stack.incidence_angle)
     cos_inc = np.cos(stack.incidence_angle)
 
+    m = {pol: np.eye(2, dtype=complex) for pol in _ADMITTANCE}  # s before p: a layer's s fault is raised first
     out = {}
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             cos_sub = _cos_transmitted(n_sub, sin_inc)
-            for pol in ("s", "p"):
-                if pol == "s":
-                    eta0 = n_ambient * cos_inc
-                    eta_sub = n_sub * cos_sub
-                else:
-                    eta0 = n_ambient / cos_inc
-                    eta_sub = n_sub / cos_sub
-                m = np.eye(2, dtype=complex)
-                for n, d in stack.layers:
-                    ct = _cos_transmitted(n, sin_inc)
-                    phase = _TWO_PI * n * d * ct / stack.wavelength
-                    eta = n * ct if pol == "s" else n / ct
-                    c, s = np.cos(phase), np.sin(phase)
-                    m = m @ np.array([[c, -1j * s / eta], [-1j * eta * s, c]])
-                b, cc = m @ np.array([1.0, eta_sub])
+            for n, d in stack.layers:
+                ct = _cos_transmitted(n, sin_inc)
+                phase = _TWO_PI * n * d * ct / stack.wavelength
+                c, s = np.cos(phase), np.sin(phase)
+                for pol, admittance in _ADMITTANCE.items():
+                    eta = admittance(n, ct)
+                    m[pol] = m[pol] @ np.array([[c, -1j * s / eta], [-1j * eta * s, c]])
+            for pol, admittance in _ADMITTANCE.items():
+                eta0 = admittance(n_ambient, cos_inc)
+                b, cc = m[pol] @ np.array([1.0, admittance(n_sub, cos_sub)])
                 out[pol] = (eta0 * b - cc) / (eta0 * b + cc)
     except FloatingPointError as exc:
         raise ValueError(f"stack reflectance is not representable: {exc}") from exc

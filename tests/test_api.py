@@ -63,3 +63,12 @@ def test_cli_takes_the_estimate_from_the_entry_alone():
     assert {name for module, name in imported if module == "estimate" and name.startswith("_")} == {"_estimate_table"}
     kernel = {"analyzer_terms", "rate_shape", "mean_counts", "record_columns"}
     assert {name for module, name in imported if module == "experiment"} & kernel == set()
+
+
+def test_cli_opens_files_in_its_reader_and_writer_alone():
+    # Both input files are read by _read_text, so each read fails the same way.
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    openers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"}
+    calls = sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open" for node in ast.walk(tree))
+    assert openers == {"_read_text", "_write_text"} and calls == 2

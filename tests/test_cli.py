@@ -657,6 +657,17 @@ class TestEstimate:
         assert run(["estimate", csv, "--method", "three-angle", "--visibility", "0"]) == 4
         assert "unidentifiable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["fit", "three-angle"])
+    def test_no_delta_information_reports_the_widest_delta_variance(self, tmp_path, method):
+        # at V = 1e-12 delta carries no information: var delta is (90 deg)^2 under both methods
+        config = dict(MIRROR_CONFIG, sample={"type": "direct", "psi_deg": 37.0, "delta_deg": 80.0},
+                      detector={"visibility": 1e-12}, scale={"pairs_per_s": 1e5}, seed=3,
+                      plan={"theta2_deg": 45.0, "sweep": {"start": 0, "stop": 165, "step": 15}, "dwell_s": 1.0})
+        counts, out = tmp_path / "counts.csv", tmp_path / "report.json"
+        assert run(["simulate", "--config", write_config(tmp_path, config), "--out", str(counts)]) == 0
+        assert run(["estimate", str(counts), "--method", method, "--visibility", "1e-12", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["cov"][2][2] == 8100.0
+
     def test_three_angle_matches_committed_golden_report(self, tmp_path, monkeypatch):
         answers = record_answers(monkeypatch, "residual_block")
         out = tmp_path / "report.json"

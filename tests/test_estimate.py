@@ -250,10 +250,25 @@ class TestFisherCovariance:
         np.testing.assert_array_equal(cov, cov.T)
         jac = np.array([math.exp(u[0]), 1.0 / math.cosh(2.0 * u[1]), 1.0])
         hess_pinv = np.linalg.pinv(hess)
+        expected = jac[:, None] * jac * hess_pinv
+        if expected[2, 2] * hess[2, 2] < 0.5:  # the delta direction is cut: the widest spread on [0, pi]
+            expected[2, 2] = math.pi**2 / 4
         # both are backward stable: they agree to rounding times the condition number
         cond = w.max() / w[w > 0].min() if w.any() else 1.0
         atol = 64 * np.finfo(float).eps * cond * np.abs(hess_pinv).max() * np.outer(jac, jac)
-        np.testing.assert_array_less(np.abs(cov - jac[:, None] * jac * hess_pinv), atol + 1e-300)
+        np.testing.assert_array_less(np.abs(cov - expected), atol + 1e-300)
+
+
+@pytest.mark.parametrize("estimator", [three_angle_from_counts, least_squares_fit])
+def test_no_delta_information_reports_the_widest_delta_variance(estimator):
+    # at V = 1e-12 the delta direction falls under the eigenvalue cutoff: both
+    # estimators report (pi/2)^2, not the ~1e-50 the cut Hessian gives
+    plan = AcquisitionPlan(np.column_stack([np.radians(np.arange(0, 166, 15.0)), np.full(12, THETA2), np.ones(12)]))
+    det = DetectorModel(visibility=1e-12)
+    recs = simulate_counts(plan, ExperimentScale(1e5), det, SampleParams(math.radians(37), math.radians(80)), 3)
+    est = estimator(recs, det)
+    assert est.covariance[2, 2] == math.pi**2 / 4
+    assert np.isfinite(est.covariance).all()
 
 
 @pytest.mark.parametrize("estimator", [three_angle_from_counts, least_squares_fit])
